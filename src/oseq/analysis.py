@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import CountCache, count_restricted
-from .enumerator import CountTable, _iter_buckets, successors
+from .enumerator import CountTable, iter_last_gt1, successors
 from .lexseg import exhaustive_count
 from .macaulay import is_o_sequence
 
@@ -273,12 +273,13 @@ def check_oracle_grid(max_d: int = 10, max_p: int = 4, max_n: int = 8,
 def check_window_bijection(max_d: int = 14) -> VerificationReport:
     """Every multiplicity-d member (d >= 5) of the last-entry-above-1 family
     comes from exactly one parent move: strip a trailing 2 (landing in the
-    d-2 bucket) or decrement the last entry (landing in the d-1 bucket)."""
+    d-2 bucket) or decrement the last entry (landing in the d-1 bucket).
+
+    The buckets come from the depth-first lister, which does not use the
+    two moves, so the moves of ``successors`` are checked against it."""
     if max_d < 5:
         raise ValueError(f"suite bijection needs max_d >= 5, got {max_d}")
-    buckets: dict[int, list[tuple[int, ...]]] = {}
-    for d, bucket in _iter_buckets(max_d):
-        buckets[d] = bucket
+    buckets = {d: list(iter_last_gt1(d)) for d in range(3, max_d + 1)}
     report = VerificationReport(suite="bijection", lo=5, hi=max_d)
     for d in range(5, max_d + 1):
         children = buckets[d]

@@ -1,9 +1,7 @@
 """Command-line interface: tables, counts, enumeration, verification, OEIS check.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O or
-network failure, 4 arithmetic overflow.  Code 4 is reserved for ports to
-fixed-width integer arithmetic; Python integers cannot overflow, so this
-build never emits it.  Only the oeis-check subcommand ever touches the
+network failure.  Only the oeis-check subcommand ever touches the
 network, and only when --allow-network is passed.
 """
 from __future__ import annotations
@@ -34,7 +32,6 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-EXIT_OVERFLOW = 4
 
 OEIS_SEQUENCE_ID = "A232476"
 OEIS_BFILE_URL = "https://oeis.org/A232476/b232476.txt"
@@ -424,9 +421,5 @@ def run(argv: list[str] | None = None) -> int:
         return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -67,16 +67,6 @@ class CountCache:
         return self.entries[key]
 
 
-def _forced_prefix_mass(p: int, k: int, d: int) -> int:
-    """Sum of the forced prefix values C(p-1+i, i) for i = 0..k, saturated at d+1."""
-    total = 0
-    for i in range(k + 1):
-        total += binomial(p - 1 + i, i, cap=d)
-        if total > d:
-            return d + 1
-    return total
-
-
 def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
     """Settle a query immediately or return its normalized memo key.
 
@@ -90,7 +80,8 @@ def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
         return 0
     if k > n:
         return 0
-    if _forced_prefix_mass(p, k, d) > d:
+    # the forced prefix sums to C(p-1+i, i) over i <= k, which is C(p+k, k)
+    if binomial(p + k, k, cap=d) > d:
         return 0
     n = min(n, d - 1)
     if k == 0 and p > d:

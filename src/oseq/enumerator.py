@@ -1,4 +1,4 @@
-"""Constructive enumeration of finite O-sequences by multiplicity.
+"""Counting and listing of finite O-sequences by multiplicity.
 
 Sequences are grouped by multiplicity d (the sum of the entries).  Writing
 A_d for the set of O-sequences of multiplicity d whose last entry exceeds 1,
@@ -12,16 +12,27 @@ Children of the first move end in 2 and children of the second end in >= 3,
 so the union is disjoint.  The O-sequences of multiplicity d that end in 1
 are exactly the members of A_m (m < d) padded with 1s, plus the all-ones
 sequence, giving the count recurrence O_d = O_{d-1} + |A_d|.
+
+Whether a member can be incremented depends only on its state
+(s, a_{s-1}, a_s), so count_table keeps a window of two buckets of state
+counts, never the sequences themselves.
+
+Listing does not use the two moves.  Since growth_bound(1, t) = 1 for
+t >= 1, an entry 1 after position 0 forces every later entry to be 1, so
+each O-sequence is a stem (1, a_1, ..., a_s) with every a_t >= 2, followed
+by trailing 1s.  A depth-first walk over the stems visits each O-sequence
+once, in lexicographic order, holding only its stack.
 """
 from __future__ import annotations
 
-import heapq
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .macaulay import growth_bound
 
 Sequence = tuple[int, ...]
+State = tuple[int, int, int]
 
 
 @dataclass
@@ -37,10 +48,9 @@ class CountTable:
             yield d, self.O[d], self.A[d]
 
 
-def _can_increment(seq: Sequence) -> bool:
-    # position s = len - 1; the step a_{s-1} -> a_s is unconstrained at s = 1
-    s = len(seq) - 1
-    return s == 1 or seq[-1] < growth_bound(seq[-2], s - 1)
+def _can_increment(s: int, prev: int, last: int) -> bool:
+    # the step a_{s-1} -> a_s is unconstrained at s = 1
+    return s == 1 or last < growth_bound(prev, s - 1)
 
 
 def successors(seq: Sequence) -> dict[int, Sequence]:
@@ -52,73 +62,63 @@ def successors(seq: Sequence) -> dict[int, Sequence]:
     if len(seq) < 2 or seq[0] != 1 or seq[-1] < 2:
         raise ValueError(f"not a last-entry-above-1 O-sequence stem: {seq!r}")
     out: dict[int, Sequence] = {2: seq + (2,)}
-    if _can_increment(seq):
+    if _can_increment(len(seq) - 1, seq[-2], seq[-1]):
         out[1] = seq[:-1] + (seq[-1] + 1,)
     return out
 
 
-def _iter_buckets(max_d: int) -> Iterator[tuple[int, list[Sequence]]]:
-    """Yield (d, members of A_d) for d = 3 .. max_d.
-
-    A_1 and A_2 are empty; the window below only ever holds the two most
-    recent nonempty buckets.
-    """
-    if max_d < 3:
-        return
-    two_back: list[Sequence] = [(1, 2)]
-    yield 3, two_back
-    if max_d < 4:
-        return
-    one_back: list[Sequence] = [(1, 3)]
-    yield 4, one_back
-    for d in range(5, max_d + 1):
-        bucket = [seq + (2,) for seq in two_back]
-        bucket.extend(
-            seq[:-1] + (seq[-1] + 1,) for seq in one_back if _can_increment(seq)
-        )
-        yield d, bucket
-        two_back, one_back = one_back, bucket
+def _iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
+    """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
+    in lexicographic order of the sequences."""
+    if d < 1:
+        raise ValueError(f"multiplicity must be positive, got {d}")
+    stack: list[tuple[Sequence, int]] = [((1,), d - 1)]
+    while stack:
+        stem, rest = stack.pop()
+        yield stem, rest
+        t = len(stem) - 1
+        top = rest if t == 0 else min(rest, growth_bound(stem[-1], t))
+        # pushed largest first, so the smallest next entry is walked first
+        stack.extend((stem + (v,), rest - v) for v in range(top, 1, -1))
 
 
 def iter_last_gt1(d: int) -> Iterator[Sequence]:
     """O-sequences of multiplicity d with last entry > 1, in lexicographic order."""
-    if d < 1:
-        raise ValueError(f"multiplicity must be positive, got {d}")
-    last: list[Sequence] = []
-    for m, bucket in _iter_buckets(d):
-        if m == d:
-            last = bucket
-    yield from sorted(last)
-
-
-def _padded(bucket: list[Sequence], pad: Sequence) -> Iterator[Sequence]:
-    for seq in bucket:
-        yield seq + pad
+    for stem, rest in _iter_stems(d):
+        if rest == 0 and stem[-1] > 1:
+            yield stem
 
 
 def iter_all(d: int) -> Iterator[Sequence]:
     """All O-sequences of multiplicity d, in lexicographic order.
 
-    Padding a multiplicity-m sequence with d - m trailing 1s preserves both
-    the O-sequence property (1 <= any growth bound) and the relative lex
-    order within a bucket, so a heap merge of the padded buckets plus the
-    all-ones sequence yields the global order.
+    Each stem is yielded padded with its trailing 1s before any of its
+    extensions, which all compare greater; the first item, (1,) * d,
+    comes at once.
     """
-    if d < 1:
-        raise ValueError(f"multiplicity must be positive, got {d}")
-    streams: list[Iterator[Sequence]] = [iter([(1,) * d])]
-    for m, bucket in _iter_buckets(d):
-        streams.append(_padded(sorted(bucket), (1,) * (d - m)))
-    yield from heapq.merge(*streams)
+    for stem, rest in _iter_stems(d):
+        yield stem + (1,) * rest
 
 
 def count_table(max_d: int) -> CountTable:
-    """O_d and A_d for all d up to max_d via the sliding-window construction."""
+    """O_d and A_d for all d up to max_d via the sliding-window recurrence."""
     if max_d < 1:
         raise ValueError(f"max_d must be positive, got {max_d}")
     a = [0] * (max_d + 1)
-    for d, bucket in _iter_buckets(max_d):
-        a[d] = len(bucket)
+    if max_d >= 3:
+        a[3] = 1
+    # states (s, a_{s-1}, a_s) of A_2 = {} and A_3 = {(1, 2)}
+    two_back: Counter[State] = Counter()
+    one_back: Counter[State] = Counter({(1, 1, 2): 1})
+    for d in range(4, max_d + 1):
+        bucket: Counter[State] = Counter()
+        for (s, _, last), n in two_back.items():
+            bucket[(s + 1, last, 2)] += n
+        for (s, prev, last), n in one_back.items():
+            if _can_increment(s, prev, last):
+                bucket[(s, prev, last + 1)] += n
+        a[d] = sum(bucket.values())
+        two_back, one_back = one_back, bucket
     # O_1 = 1 seeds the recurrence O_d = O_{d-1} + A_d (A_1 = A_2 = 0)
     o = [0] * (max_d + 1)
     o[1] = 1

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oseq.analysis import check_count_identities, check_sub_fibonacci
 from oseq.enumerator import count_table, iter_all, iter_last_gt1, successors
 from oseq.macaulay import is_o_sequence
 
@@ -89,9 +90,10 @@ class TestIterAll:
         assert got == sorted(got)
         assert len(set(got)) == len(got)
 
-    def test_lazy(self):
-        stream = iter_all(40)
-        assert next(stream) == (1,) * 40
+    @pytest.mark.parametrize("d", [40, 200])
+    def test_lazy(self, d):
+        stream = iter_all(d)
+        assert next(stream) == (1,) * d
 
 
 class TestCountTable:
@@ -104,9 +106,17 @@ class TestCountTable:
         t = table60
         for d in range(2, 61):
             assert t.O[d] == t.O[d - 1] + t.A[d]
-        for d in range(1, 16):
+        # state counts against the depth-first listing: two separate paths
+        for d in range(1, 23):
             assert t.A[d] == len(list(iter_last_gt1(d)))
             assert t.O[d] == len(list(iter_all(d)))
+
+    def test_beyond_sixty(self, table60):
+        t = count_table(100)
+        assert check_count_identities(t).passed
+        assert check_sub_fibonacci(t).passed
+        assert t.O[:61] == table60.O
+        assert t.A[:61] == table60.A
 
     def test_rows(self):
         t = count_table(3)
