@@ -248,7 +248,10 @@ def compare_reference(table: CountTable, reference: dict[int, int] | None = None
 def check_oracle_grid(max_d: int = 10, max_p: int = 4, max_n: int = 8,
                       max_k: int = 4) -> VerificationReport:
     """Recursive counts against the independent exhaustive filter, on the
-    full parameter grid; one aggregated check per (p, d)."""
+    full parameter grid; one aggregated check per (p, d).  The exhaustive
+    search caps max_d at 12."""
+    if not 1 <= max_d <= 12:
+        raise ValueError(f"suite oracle needs 1 <= max_d <= 12 (exhaustive search), got {max_d}")
     report = VerificationReport(suite="oracle", lo=1, hi=max_d)
     cache = CountCache()
     for p in range(1, max_p + 1):

@@ -24,6 +24,7 @@ from .counting import (
     count_via_formula,
     load_cache,
     save_cache,
+    write_atomic,
 )
 from .enumerator import count_table, iter_all, iter_last_gt1
 from .lexseg import OrderIdeal, decompose, sous_escalier, term_str
@@ -43,14 +44,6 @@ _SUITE_DEFAULT_MAX_D = {
     "table": 60,
     "oracle": 10,
     "bijection": 14,
-}
-_SUITE_MIN_MAX_D = {
-    "lemmas": 5,
-    "fibonacci": 3,
-    "ratios": 6,
-    "table": 1,
-    "oracle": 1,
-    "bijection": 5,
 }
 
 
@@ -109,21 +102,27 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
 def fetch_oeis(sequence_id: str = OEIS_SEQUENCE_ID, cache_dir: str | None = None,
                timeout: float = 30.0) -> OeisReference:
     """The reference sequence, from the on-disk copy when present,
-    otherwise fetched over HTTP and cached for later offline runs."""
+    otherwise fetched over HTTP and cached for later offline runs.
+
+    A download is parsed before it is saved, and saved atomically, so a
+    bad response raises BFileParseError and leaves no copy behind."""
     if sequence_id != OEIS_SEQUENCE_ID:
         raise ValueError(f"only {OEIS_SEQUENCE_ID} is supported, got {sequence_id}")
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
     if os.path.exists(cached):
         with open(cached, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
-            text = response.read().decode("utf-8")
-        os.makedirs(directory, exist_ok=True)
-        with open(cached, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return OeisReference(sequence_id=sequence_id, entries=parse_b_file(text))
+            return OeisReference(sequence_id=sequence_id, entries=parse_b_file(fh.read()))
+    with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
+        body = response.read()
+    try:
+        text = body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileParseError(f"response is not UTF-8 text: {exc}") from None
+    reference = OeisReference(sequence_id=sequence_id, entries=parse_b_file(text))
+    os.makedirs(directory, exist_ok=True)
+    write_atomic(cached, text, "utf-8")
+    return reference
 
 
 def _positive(sub: str, name: str, value: int) -> int:
@@ -217,35 +216,31 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     max_d = args.max_d if args.max_d is not None else _SUITE_DEFAULT_MAX_D[suite]
-    floor = _SUITE_MIN_MAX_D[suite]
-    if max_d < floor:
-        raise _UsageError(f"verify: --max-d for suite {suite} must be >= {floor}, got {max_d}")
-    if suite == "oracle" and max_d > 12:
-        raise _UsageError(f"verify: --max-d for suite oracle is capped at 12 "
-                          f"(exhaustive search), got {max_d}")
-    if suite == "oracle":
-        report = analysis.check_oracle_grid(max_d=max_d)
-    elif suite == "bijection":
-        report = analysis.check_window_bijection(max_d=max_d)
-    else:
-        table = count_table(max_d)
-        if suite == "lemmas":
-            report = analysis.check_count_identities(table)
-        elif suite == "fibonacci":
-            report = analysis.check_sub_fibonacci(table)
-        elif suite == "ratios":
-            report = analysis.check_ratios(table)
+    # each suite rejects a --max-d outside its own range with ValueError
+    try:
+        if suite == "oracle":
+            report = analysis.check_oracle_grid(max_d=max_d)
+        elif suite == "bijection":
+            report = analysis.check_window_bijection(max_d=max_d)
         else:
-            report = analysis.compare_reference(table)
+            table = count_table(max_d)
+            if suite == "lemmas":
+                report = analysis.check_count_identities(table)
+            elif suite == "fibonacci":
+                report = analysis.check_sub_fibonacci(table)
+            elif suite == "ratios":
+                report = analysis.check_ratios(table)
+            else:
+                report = analysis.compare_reference(table)
+    except ValueError as exc:
+        raise _UsageError(f"verify: --suite {suite}: {exc}") from None
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["kind", "d", "claim", "left", "right", "passed"])
-        for c in report.checks:
-            writer.writerow(["check", c.d, c.claim, c.left, c.right, c.passed])
-        for a in report.anomalies:
-            writer.writerow(["anomaly", a.d, a.note, "", "", ""])
+        rows = [{"kind": "check", "d": c.d, "claim": c.claim, "left": c.left,
+                 "right": c.right, "passed": c.passed} for c in report.checks]
+        rows += [{"kind": "anomaly", "d": a.d, "claim": a.note} for a in report.anomalies]
+        _emit_rows(rows, "csv", ["kind", "d", "claim", "left", "right", "passed"])
     else:
         print(report.to_text())
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -260,7 +255,7 @@ def _parse_sequence(sub: str, text: str) -> tuple[int, ...]:
 
 
 def _ideal_rows(ideal: OrderIdeal, part: str) -> list[dict]:
-    return [{"part": part, "degree": sum(t), "term": term_str(t), "exponents": list(t)}
+    return [{"part": part, "degree": sum(t), "term": term_str(t)}
             for t in ideal.sorted_terms()]
 
 
@@ -286,10 +281,7 @@ def _cmd_lexseg(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         rows = [row for part, part_ideal in sections for row in _ideal_rows(part_ideal, part)]
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["part", "degree", "term"])
-        for row in rows:
-            writer.writerow([row["part"], row["degree"], row["term"]])
+        _emit_rows(rows, "csv", ["part", "degree", "term"])
     else:
         for part, part_ideal in sections:
             counts = ",".join(str(c) for c in part_ideal.degree_counts)

@@ -8,12 +8,13 @@ The recursion splits the sous-escalier of such a segment by divisibility
 by the dominant variable, which pairs each counted object with a product
 of two smaller ones.
 
-The total count of O-sequences of multiplicity d is recovered by summing
-over the prefix length in d variables with unbounded socle degree
-(n = d - 1 suffices: multiplicity d forces s <= d - 1).
+The total count of O-sequences of multiplicity d is the restricted count
+in d variables with prefix length 0 and unbounded socle degree (n = d - 1
+suffices: multiplicity d forces s <= d - 1).
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 from .macaulay import binomial
@@ -35,10 +36,10 @@ class CacheCorruptionError(Exception):
 class CountCache:
     """Memo store mapping (p, n, k, d) to a count, with idempotent insertion.
 
+    ``insert`` is the one place a key is stored or a conflict refused.
     ``hits`` counts lookups of keys already stored (top-level queries and
     summand reads during expansion); ``misses`` counts keys that had to be
-    expanded and stored.  A warm second run of the same query therefore
-    shows zero misses.
+    expanded.  A loaded file and a warm second run therefore show zero misses.
     """
 
     entries: dict[Key, int] = field(default_factory=dict)
@@ -53,14 +54,9 @@ class CountCache:
 
     def insert(self, key: Key, count: int) -> None:
         """Store key -> count; re-inserting the same value is a no-op."""
-        old = self.entries.get(key)
-        if old is None:
-            self.entries[key] = count
-            self.misses += 1
-        elif old != count:
-            raise CacheCorruptionError(
-                f"key {key} already maps to {old}, refusing to store {count}"
-            )
+        old = self.entries.setdefault(key, count)
+        if old != count:
+            raise CacheCorruptionError(f"key {key} already maps to {old}, refusing to store {count}")
 
     def read(self, key: Key) -> int:
         self.hits += 1
@@ -123,27 +119,23 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
 
 
 def _ensure(key: Key, cache: CountCache) -> None:
-    """Compute ``key`` into ``cache`` with an explicit work stack.
+    """Compute ``key`` into ``cache`` in one post-order walk.
 
-    Recursion depth grows with p + d, so deep queries are evaluated
-    iteratively: a key is expanded only once all its factor keys are
-    present.
+    Depth grows with p + d, so the walk keeps an explicit stack of frames
+    (a key, its summands derived once on push, a cursor over their factor
+    keys).  A frame descends into its next uncached factor, else is popped
+    and its sum stored.  No key depends on itself, so each is pushed once.
     """
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in cache:
-            stack.pop()
-            continue
+    def frame(top: Key):
         pairs = _summands(top)
-        pending = [
-            factor
-            for pair in pairs
-            for factor in pair
-            if isinstance(factor, tuple) and factor not in cache
-        ]
-        if pending:
-            stack.extend(pending)
+        return top, pairs, (f for pair in pairs for f in pair if isinstance(f, tuple))
+
+    stack = [frame(key)]
+    while stack:
+        top, pairs, factors = stack[-1]
+        missing = next((f for f in factors if f not in cache), None)
+        if missing is not None:
+            stack.append(frame(missing))
             continue
         total = 0
         for left, right in pairs:
@@ -153,6 +145,7 @@ def _ensure(key: Key, cache: CountCache) -> None:
             rv = cache.read(right) if isinstance(right, tuple) else right
             total += lv * rv
         cache.insert(top, total)
+        cache.misses += 1
         stack.pop()
 
 
@@ -162,8 +155,7 @@ def count_restricted(p: int, n: int, k: int, d: int, cache: CountCache | None = 
     settled = _resolve(p, n, k, d)
     if not isinstance(settled, tuple):
         return settled
-    if cache is None:
-        cache = CountCache()
+    cache = cache if cache is not None else CountCache()
     if settled in cache:
         return cache.read(settled)
     _ensure(settled, cache)
@@ -174,14 +166,14 @@ def count_via_formula(d: int, cache: CountCache | None = None) -> int:
     """Total number of O-sequences of multiplicity d, by the recursion alone.
 
     Every O-sequence with a_1 = p embeds as a lex segment in p variables,
-    and p <= d, so summing the prefix split in d variables with the socle
-    degree unconstrained covers everything exactly once.
+    and p <= d, so the prefix split in d variables with the socle degree
+    unconstrained covers everything exactly once.  Only the prefix length
+    k = 0 contributes: for k >= 1 the forced prefix already has mass
+    C(d + k, k) >= d + 1 > d, so every other term of the split is 0.
     """
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
-    if cache is None:
-        cache = CountCache()
-    return sum(count_restricted(d, d - 1, k, d, cache) for k in range(d))
+    return count_restricted(d, d - 1, 0, d, cache)
 
 
 def two_variable_lex_count(d: int, cache: CountCache | None = None) -> int:
@@ -189,9 +181,22 @@ def two_variable_lex_count(d: int, cache: CountCache | None = None) -> int:
     two variables (a_1 <= 2), summed over prefix lengths."""
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
-    if cache is None:
-        cache = CountCache()
+    cache = cache if cache is not None else CountCache()
     return sum(count_restricted(2, d - 1, k, d, cache) for k in range(d))
+
+
+def write_atomic(path: str, text: str, encoding: str) -> None:
+    """Replace ``path`` by ``text`` through a temporary file in the same
+    directory, so a failed write leaves the old file and no temporary one."""
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding=encoding, newline="")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def save_cache(cache: CountCache, path: str) -> None:
@@ -200,12 +205,9 @@ def save_cache(cache: CountCache, path: str) -> None:
     The header line pins the format version; decimal ASCII, no spaces,
     LF newlines, so files diff cleanly and merge deterministically.
     """
-    lines = [_HEADER]
-    for key in sorted(cache.entries):
-        p, n, k, d = key
-        lines.append(f"{p},{n},{k},{d},{cache.entries[key]}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = [_HEADER] + [f"{p},{n},{k},{d},{count}"
+                         for (p, n, k, d), count in sorted(cache.entries.items())]
+    write_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
 def load_cache(path: str, into: CountCache | None = None) -> CountCache:
@@ -230,11 +232,8 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
                 p, n, k, d, count = (int(f) for f in fields)
             except ValueError as exc:
                 raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
-            old = cache.entries.get((p, n, k, d))
-            if old is None:
-                cache.entries[(p, n, k, d)] = count
-            elif old != count:
-                raise CacheCorruptionError(
-                    f"{path}:{lineno}: key {(p, n, k, d)} maps to {old}, file says {count}"
-                )
+            try:
+                cache.insert((p, n, k, d), count)
+            except CacheCorruptionError as exc:
+                raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
     return cache

@@ -1,4 +1,7 @@
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,12 @@ from oseq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     default_cache_dir,
+    fetch_oeis,
     parse_b_file,
     run,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(capsys, argv):
@@ -86,14 +92,35 @@ class TestFormula:
         assert int(warm_row[6]) == 0
         assert cold_row[7] == warm_row[7]
 
-    def test_stats_columns(self, capsys):
-        code, out, _ = invoke(
-            capsys, ["formula", "3", "8", "1", "9", "--stats", "--format", "json"]
-        )
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            (["3", "8", "1", "9"], {"count": 7, "hits": 46, "misses": 30, "cached_keys": 30}),
+            (["5", "20", "2", "25"], {"count": 5, "hits": 165, "misses": 57, "cached_keys": 57}),
+        ],
+        ids=["3-8-1-9", "5-20-2-25"],
+    )
+    def test_stats_columns(self, capsys, query, expected):
+        code, out, _ = invoke(capsys, ["formula", *query, "--stats", "--format", "json"])
         assert code == EXIT_OK
         (row,) = json.loads(out)
-        assert row["count"] == 7
         assert set(row) == {"p", "n", "k", "d", "count", "hits", "misses", "cached_keys"}
+        assert {c: row[c] for c in expected} == expected
+
+    def test_failed_save_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
+        cache = tmp_path / "memo.txt"
+        assert invoke(capsys, ["formula", "3", "8", "1", "9", "--cache", str(cache)])[0] == EXIT_OK
+        before = cache.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr("oseq.counting.os.replace", refuse)
+        code, _, err = invoke(capsys, ["formula", "4", "8", "1", "10", "--cache", str(cache)])
+        assert code == EXIT_IO
+        assert "replace refused" in err
+        assert cache.read_bytes() == before
+        assert os.listdir(tmp_path) == ["memo.txt"]
 
     def test_negative_parameter(self, capsys):
         assert invoke(capsys, ["formula", "3", "8", "1", "-1"])[0] == EXIT_USAGE
@@ -146,8 +173,28 @@ class TestVerify:
     def test_oracle_cap(self, capsys):
         assert invoke(capsys, ["verify", "--suite", "oracle", "--max-d", "13"])[0] == EXIT_USAGE
 
-    def test_suite_floor(self, capsys):
-        assert invoke(capsys, ["verify", "--suite", "lemmas", "--max-d", "2"])[0] == EXIT_USAGE
+    @pytest.mark.parametrize(
+        "suite, max_d, bound",
+        [
+            pytest.param("lemmas", 4, "d = 5", id="lemmas"),
+            pytest.param("fibonacci", 2, "d = 3", id="fibonacci"),
+            pytest.param("ratios", 5, "d = 6", id="ratios"),
+            pytest.param("table", 0, "positive", id="table"),
+            pytest.param("oracle", 0, "1 <= max_d", id="oracle"),
+            pytest.param("bijection", 4, "max_d >= 5", id="bijection"),
+        ],
+    )
+    def test_suite_floor(self, capsys, suite, max_d, bound):
+        code, out, err = invoke(capsys, ["verify", "--suite", suite, "--max-d", str(max_d)])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert f"suite {suite}" in err and bound in err
+
+    def test_ratios_csv_is_exact(self, capsys):
+        code, out, _ = invoke(capsys, ["verify", "--suite", "ratios", "--max-d", "12",
+                                       "--format", "csv"])
+        assert code == EXIT_OK
+        assert out == (DATA / "verify_ratios_12.csv").read_text(encoding="ascii")
 
     def test_json_format(self, capsys):
         code, out, _ = invoke(
@@ -253,6 +300,28 @@ class TestOeisCheck:
     def test_default_cache_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("OSEQ_CACHE_DIR", str(tmp_path))
         assert default_cache_dir() == str(tmp_path)
+
+
+class TestFetchOeis:
+    def serve(self, monkeypatch, body):
+        monkeypatch.setattr("oseq.cli.urllib.request.urlopen",
+                            lambda url, timeout: io.BytesIO(body))
+
+    @pytest.mark.parametrize("body", [b"<html>not a b-file</html>\n", b"1 1\n\xff\xfe 2\n"],
+                             ids=["html", "not-utf8"])
+    def test_bad_download_is_not_saved(self, monkeypatch, tmp_path, body):
+        self.serve(monkeypatch, body)
+        with pytest.raises(BFileParseError):
+            fetch_oeis(cache_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_good_download_is_saved_verbatim(self, monkeypatch, tmp_path):
+        body = b"# A232476\n1 1\n2 1\n3 2\n"
+        self.serve(monkeypatch, body)
+        reference = fetch_oeis(cache_dir=str(tmp_path))
+        assert reference.entries == [(1, 1), (2, 1), (3, 2)]
+        assert os.listdir(tmp_path) == ["b232476.txt"]
+        assert (tmp_path / "b232476.txt").read_bytes() == body
 
 
 class TestDeterminism:

@@ -1,5 +1,8 @@
+import re
+
 import pytest
 
+from oseq import counting
 from oseq.counting import (
     CacheCorruptionError,
     CacheFormatError,
@@ -83,6 +86,19 @@ class TestCountViaFormula:
         with pytest.raises(ValueError):
             count_via_formula(0)
 
+    def test_each_key_expanded_once(self, monkeypatch):
+        expanded = []
+        summands = counting._summands
+
+        def counted(key):
+            expanded.append(key)
+            return summands(key)
+
+        monkeypatch.setattr(counting, "_summands", counted)
+        cache = CountCache()
+        count_via_formula(17, cache)
+        assert len(expanded) == len(cache) == cache.misses
+
 
 class TestTwoVariable:
     def test_frozen_values(self):
@@ -152,9 +168,10 @@ class TestCachePersistence:
         path = tmp_path / "memo.cache"
         path.write_text("# oseq-memo v1\n2,3,1,5,7\n")
         cache = load_cache(str(path))
-        path.write_text("# oseq-memo v1\n2,3,1,5,8\n")
-        with pytest.raises(CacheCorruptionError):
+        path.write_text("# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,8\n")
+        with pytest.raises(CacheCorruptionError, match=re.escape(f"{path}:3: ")):
             load_cache(str(path), into=cache)
+        assert cache.entries[(2, 3, 1, 5)] == 7
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "memo.cache"
