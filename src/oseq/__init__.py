@@ -8,79 +8,13 @@ independent routes: a constructive sliding-window enumeration, and a
 memoized recursion over decompositions of lex-segment sous-escaliers.
 The analysis module turns the known structural facts about these counts
 into executable checks.
+
+The top level exports the four entry points below; everything else is
+imported from its module.
 """
-from .analysis import (
-    REFERENCE_O_VALUES,
-    VerificationReport,
-    check_count_identities,
-    check_oracle_grid,
-    check_ratios,
-    check_sub_fibonacci,
-    check_window_bijection,
-    compare_reference,
-)
-from .counting import (
-    CacheCorruptionError,
-    CacheFormatError,
-    CountCache,
-    count_restricted,
-    count_via_formula,
-    load_cache,
-    save_cache,
-    two_variable_lex_count,
-)
-from .enumerator import CountTable, count_table, iter_all, iter_last_gt1, successors
-from .lexseg import (
-    Classification,
-    OrderIdeal,
-    ParameterTooLargeError,
-    classify,
-    decompose,
-    exhaustive_count,
-    lex_compare,
-    min_var,
-    sous_escalier,
-    terms_of_degree,
-)
-from .macaulay import BinomialExpansion, binomial, expand, growth_bound, is_o_sequence
+from .counting import count_via_formula
+from .enumerator import count_table
+from .lexseg import sous_escalier
+from .macaulay import growth_bound
 
-__version__ = "1.0.0"
-
-__all__ = [
-    "BinomialExpansion",
-    "CacheCorruptionError",
-    "CacheFormatError",
-    "Classification",
-    "CountCache",
-    "CountTable",
-    "OrderIdeal",
-    "ParameterTooLargeError",
-    "REFERENCE_O_VALUES",
-    "VerificationReport",
-    "binomial",
-    "check_count_identities",
-    "check_oracle_grid",
-    "check_ratios",
-    "check_sub_fibonacci",
-    "check_window_bijection",
-    "classify",
-    "compare_reference",
-    "count_restricted",
-    "count_table",
-    "count_via_formula",
-    "decompose",
-    "exhaustive_count",
-    "expand",
-    "growth_bound",
-    "is_o_sequence",
-    "iter_all",
-    "iter_last_gt1",
-    "lex_compare",
-    "load_cache",
-    "min_var",
-    "save_cache",
-    "sous_escalier",
-    "successors",
-    "terms_of_degree",
-    "two_variable_lex_count",
-]
+__all__ = ["count_table", "count_via_formula", "growth_bound", "sous_escalier"]

@@ -245,27 +245,27 @@ def compare_reference(table: CountTable, reference: dict[int, int] | None = None
     return report
 
 
-def check_oracle_grid(max_d: int = 10, max_p: int = 4, max_n: int = 8,
-                      max_k: int = 4) -> VerificationReport:
-    """Recursive counts against the independent exhaustive filter, on the
-    full parameter grid; one aggregated check per (p, d).  The exhaustive
-    search caps max_d at 12."""
+def check_oracle_grid(max_d: int) -> VerificationReport:
+    """Recursive counts against the independent exhaustive filter on the
+    full grid p <= 4, n <= 8, k <= 4 that the exhaustive search covers;
+    one aggregated check per (p, d).  The exhaustive search caps max_d
+    at 12."""
     if not 1 <= max_d <= 12:
         raise ValueError(f"suite oracle needs 1 <= max_d <= 12 (exhaustive search), got {max_d}")
     report = VerificationReport(suite="oracle", lo=1, hi=max_d)
     cache = CountCache()
-    for p in range(1, max_p + 1):
+    for p in range(1, 5):
         for d in range(1, max_d + 1):
             cells = 0
             bad: str | None = None
-            for n in range(0, max_n + 1):
-                for k in range(0, max_k + 1):
+            for n in range(9):
+                for k in range(5):
                     got = count_restricted(p, n, k, d, cache)
                     want = exhaustive_count(p, n, k, d)
                     cells += 1
                     if got != want and bad is None:
                         bad = f"n={n} k={k}: formula {got}, exhaustive {want}"
-            claim = f"formula = exhaustive on p={p}, n<={max_n}, k<={max_k}"
+            claim = f"formula = exhaustive on p={p}, n<=8, k<=4"
             if bad is None:
                 report.add(d, claim, f"{cells} cells", f"{cells} agree", True)
             else:
@@ -273,7 +273,7 @@ def check_oracle_grid(max_d: int = 10, max_p: int = 4, max_n: int = 8,
     return report
 
 
-def check_window_bijection(max_d: int = 14) -> VerificationReport:
+def check_window_bijection(max_d: int) -> VerificationReport:
     """Every multiplicity-d member (d >= 5) of the last-entry-above-1 family
     comes from exactly one parent move: strip a trailing 2 (landing in the
     d-2 bucket) or decrement the last entry (landing in the d-1 bucket).

@@ -13,7 +13,6 @@ import os
 import sys
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
 
 from . import analysis
 from .counting import (
@@ -34,16 +33,17 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-OEIS_SEQUENCE_ID = "A232476"
 OEIS_BFILE_URL = "https://oeis.org/A232476/b232476.txt"
 
-_SUITE_DEFAULT_MAX_D = {
-    "lemmas": 60,
-    "fibonacci": 60,
-    "ratios": 60,
-    "table": 60,
-    "oracle": 10,
-    "bijection": 14,
+# suite -> (default --max-d, runner).  The runners look up the suites and
+# count_table when called, so a wrapper installed on either is honoured.
+_SUITES = {
+    "lemmas": (60, lambda max_d: analysis.check_count_identities(count_table(max_d))),
+    "fibonacci": (60, lambda max_d: analysis.check_sub_fibonacci(count_table(max_d))),
+    "ratios": (60, lambda max_d: analysis.check_ratios(count_table(max_d))),
+    "table": (60, lambda max_d: analysis.compare_reference(count_table(max_d))),
+    "oracle": (10, lambda max_d: analysis.check_oracle_grid(max_d)),
+    "bijection": (14, lambda max_d: analysis.check_window_bijection(max_d)),
 }
 
 
@@ -57,12 +57,6 @@ class _IoError(Exception):
 
 class BFileParseError(Exception):
     """A reference b-file line did not parse as ``index value``."""
-
-
-@dataclass
-class OeisReference:
-    sequence_id: str
-    entries: list[tuple[int, int]]
 
 
 def default_cache_dir() -> str:
@@ -99,30 +93,27 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def fetch_oeis(sequence_id: str = OEIS_SEQUENCE_ID, cache_dir: str | None = None,
-               timeout: float = 30.0) -> OeisReference:
-    """The reference sequence, from the on-disk copy when present,
+def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tuple[int, int]]:
+    """The entries of OEIS A232476, from the on-disk copy when present,
     otherwise fetched over HTTP and cached for later offline runs.
 
     A download is parsed before it is saved, and saved atomically, so a
     bad response raises BFileParseError and leaves no copy behind."""
-    if sequence_id != OEIS_SEQUENCE_ID:
-        raise ValueError(f"only {OEIS_SEQUENCE_ID} is supported, got {sequence_id}")
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
     if os.path.exists(cached):
         with open(cached, "r", encoding="utf-8") as fh:
-            return OeisReference(sequence_id=sequence_id, entries=parse_b_file(fh.read()))
+            return parse_b_file(fh.read())
     with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
         body = response.read()
     try:
         text = body.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise BFileParseError(f"response is not UTF-8 text: {exc}") from None
-    reference = OeisReference(sequence_id=sequence_id, entries=parse_b_file(text))
+    entries = parse_b_file(text)
     os.makedirs(directory, exist_ok=True)
     write_atomic(cached, text, "utf-8")
-    return reference
+    return entries
 
 
 def _positive(sub: str, name: str, value: int) -> int:
@@ -185,13 +176,15 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     k = _nonnegative("formula", "k", args.k)
     d = _positive("formula", "d", args.d)
     cache = CountCache()
-    if args.cache and os.path.exists(args.cache):
+    existed = bool(args.cache) and os.path.exists(args.cache)
+    if existed:
         try:
             load_cache(args.cache, into=cache)
         except OSError as exc:
             raise _IoError(f"formula: --cache {args.cache}: {exc}") from exc
     value = count_restricted(p, n, k, d, cache)
-    if args.cache:
+    # a query that stored no new key leaves an existing file untouched
+    if args.cache and (cache.misses or not existed):
         try:
             save_cache(cache, args.cache)
         except OSError as exc:
@@ -215,23 +208,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
-    max_d = args.max_d if args.max_d is not None else _SUITE_DEFAULT_MAX_D[suite]
+    default_max_d, runner = _SUITES[suite]
     # each suite rejects a --max-d outside its own range with ValueError
     try:
-        if suite == "oracle":
-            report = analysis.check_oracle_grid(max_d=max_d)
-        elif suite == "bijection":
-            report = analysis.check_window_bijection(max_d=max_d)
-        else:
-            table = count_table(max_d)
-            if suite == "lemmas":
-                report = analysis.check_count_identities(table)
-            elif suite == "fibonacci":
-                report = analysis.check_sub_fibonacci(table)
-            elif suite == "ratios":
-                report = analysis.check_ratios(table)
-            else:
-                report = analysis.compare_reference(table)
+        report = runner(default_max_d if args.max_d is None else args.max_d)
     except ValueError as exc:
         raise _UsageError(f"verify: --suite {suite}: {exc}") from None
     if args.format == "json":
@@ -297,7 +277,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
                           "pass --allow-network to permit the HTTP fetch")
     max_d = _positive("oeis-check", "--max-d", args.max_d)
     try:
-        reference = fetch_oeis(cache_dir=args.cache_dir)
+        entries = fetch_oeis(cache_dir=args.cache_dir)
     except (urllib.error.URLError, OSError) as exc:
         print(f"oeis-check: fetching {OEIS_BFILE_URL}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -305,7 +285,7 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         print(f"oeis-check: {OEIS_BFILE_URL}: {exc}", file=sys.stderr)
         return EXIT_IO
     table = count_table(max_d)
-    known = dict(reference.entries)
+    known = dict(entries)
     rows = []
     mismatches = 0
     for d in range(1, max_d + 1):
@@ -364,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True,
-                          choices=["lemmas", "fibonacci", "ratios", "table",
-                                   "oracle", "bijection"])
+    p_verify.add_argument("--suite", required=True, choices=list(_SUITES))
     p_verify.add_argument("--max-d", type=int, dest="max_d", metavar="D")
     add_format(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)

@@ -36,22 +36,6 @@ def lex_key(term: Term) -> Term:
     return term[::-1]
 
 
-def lex_compare(t1: Term, t2: Term) -> int:
-    """-1, 0 or +1 as t1 precedes, equals or follows t2 in the term order."""
-    if len(t1) != len(t2):
-        raise ValueError(f"terms live in different rings: {t1!r} vs {t2!r}")
-    k1, k2 = lex_key(t1), lex_key(t2)
-    return (k1 > k2) - (k1 < k2)
-
-
-def min_var(term: Term) -> int:
-    """1-based index of the smallest variable dividing the term; 0 for the unit."""
-    for i, e in enumerate(term):
-        if e > 0:
-            return i + 1
-    return 0
-
-
 def term_str(term: Term) -> str:
     parts = []
     for i, e in enumerate(term):
@@ -65,19 +49,24 @@ def term_str(term: Term) -> str:
 def terms_of_degree(t: int, p: int) -> Iterator[Term]:
     """All degree-t terms in p variables, ascending in the term order.
 
-    Recursing on the exponent of the dominant variable from 0 upwards
-    yields the order directly, without sorting.
+    Each term follows from the one before without sorting or recursion:
+    one unit of the first nonzero exponent moves up to the next variable
+    and the rest of that exponent goes back to x_1.
     """
     if p < 1:
         raise ValueError(f"need at least one variable, got p={p}")
     if t < 0:
         return
-    if p == 1:
-        yield (t,)
-        return
-    for last in range(t + 1):
-        for head in terms_of_degree(t - last, p - 1):
-            yield head + (last,)
+    term = [t] + [0] * (p - 1)
+    yield tuple(term)
+    first = 0 if t > 0 else p - 1  # index of the first nonzero exponent
+    while first < p - 1:
+        e = term[first]
+        term[first] = 0
+        term[first + 1] += 1
+        term[0] = e - 1
+        first = 0 if e > 1 else first + 1
+        yield tuple(term)
 
 
 @dataclass(frozen=True)

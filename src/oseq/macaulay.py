@@ -11,20 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import comb
-from typing import Iterable, NamedTuple
-
-
-class BinomialExpansion(NamedTuple):
-    """The unique decreasing-top representation of ``value`` in base ``base``.
-
-    value = C(tops[0], base) + C(tops[1], base - 1) + ... with the lower
-    index decreasing by one per term and tops strictly decreasing; the
-    last lower index is >= 1.
-    """
-
-    base: int
-    tops: tuple[int, ...]
-    value: int
+from typing import Iterable
 
 
 def binomial(n: int, m: int, cap: int | None = None) -> int:
@@ -48,11 +35,13 @@ def binomial(n: int, m: int, cap: int | None = None) -> int:
     return result
 
 
-def expand(a: int, t: int) -> BinomialExpansion:
-    """Greedy binomial expansion of ``a`` in base ``t``.
+def expand(a: int, t: int) -> tuple[int, ...]:
+    """The tops of the binomial expansion of ``a`` in base ``t``.
 
-    Greedy choice of the largest top at each level yields the unique
-    representation with strictly decreasing tops.
+    a = C(tops[0], t) + C(tops[1], t - 1) + ... with the lower index
+    decreasing by one per term and tops strictly decreasing; the last
+    lower index is >= 1.  Greedy choice of the largest top at each level
+    yields this unique representation.
     """
     if a < 1 or t < 1:
         raise ValueError(f"expand requires a >= 1 and t >= 1, got a={a}, t={t}")
@@ -66,7 +55,7 @@ def expand(a: int, t: int) -> BinomialExpansion:
         tops.append(k)
         remainder -= comb(k, lower)
         lower -= 1
-    return BinomialExpansion(base=t, tops=tuple(tops), value=a)
+    return tuple(tops)
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +65,7 @@ def growth_bound(a: int, t: int) -> int:
     Every binomial in the expansion of ``a`` in base ``t`` is shifted up by
     one in both indices.
     """
-    base, tops, _ = expand(a, t)
-    return sum(comb(k + 1, base - i + 1) for i, k in enumerate(tops))
+    return sum(comb(k + 1, t - i + 1) for i, k in enumerate(expand(a, t)))
 
 
 def is_o_sequence(values: Iterable[int]) -> bool:

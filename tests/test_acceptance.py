@@ -223,12 +223,12 @@ def test_criterion_9_oeis_b_file(table60, tmp_path):
         record_verdict("[criterion 9] SKIP (network tests off; set OSEQ_NETWORK_TESTS=1)")
         pytest.skip("network tests off; set OSEQ_NETWORK_TESTS=1")
     try:
-        reference = fetch_oeis(cache_dir=str(tmp_path), timeout=10.0)
+        entries = fetch_oeis(cache_dir=str(tmp_path), timeout=10.0)
     except (urllib.error.URLError, OSError):
         record_verdict("[criterion 9] SKIP (network unavailable)")
         pytest.skip("network unavailable")
 
-    known = dict(reference.entries)
+    known = dict(entries)
     mismatches = [
         d for d in range(1, 21) if d in known and known[d] != table60.O[d]
     ]

@@ -107,6 +107,16 @@ class TestFormula:
         assert set(row) == {"p", "n", "k", "d", "count", "hits", "misses", "cached_keys"}
         assert {c: row[c] for c in expected} == expected
 
+    def test_warm_repeat_leaves_cache_file_untouched(self, capsys, tmp_path):
+        cache = tmp_path / "memo.txt"
+        argv = ["formula", "5", "20", "2", "25", "--cache", str(cache)]
+        assert invoke(capsys, argv)[0] == EXIT_OK
+        before, stat = cache.read_bytes(), cache.stat()
+        assert invoke(capsys, argv)[0] == EXIT_OK
+        after = cache.stat()
+        assert cache.read_bytes() == before
+        assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
     def test_failed_save_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "memo.txt"
         assert invoke(capsys, ["formula", "3", "8", "1", "9", "--cache", str(cache)])[0] == EXIT_OK
@@ -190,6 +200,22 @@ class TestVerify:
         assert out == ""
         assert f"suite {suite}" in err and bound in err
 
+    @pytest.mark.parametrize(
+        "suite, first_line, code",
+        [
+            pytest.param("lemmas", "suite lemmas: d in [1, 60]", EXIT_OK, id="lemmas"),
+            pytest.param("fibonacci", "suite fibonacci: d in [1, 60]", EXIT_OK, id="fibonacci"),
+            pytest.param("ratios", "suite ratios: d in [1, 60]", EXIT_OK, id="ratios"),
+            pytest.param("table", "suite table: d in [1, 60]", EXIT_MISMATCH, id="table"),
+            pytest.param("oracle", "suite oracle: d in [1, 10]", EXIT_OK, id="oracle"),
+            pytest.param("bijection", "suite bijection: d in [5, 14]", EXIT_OK, id="bijection"),
+        ],
+    )
+    def test_default_max_d(self, capsys, suite, first_line, code):
+        got, out, _ = invoke(capsys, ["verify", "--suite", suite])
+        assert out.splitlines()[0] == first_line
+        assert got == code
+
     def test_ratios_csv_is_exact(self, capsys):
         code, out, _ = invoke(capsys, ["verify", "--suite", "ratios", "--max-d", "12",
                                        "--format", "csv"])
@@ -240,6 +266,12 @@ class TestLexseg:
 
     def test_malformed_sequence(self, capsys):
         assert invoke(capsys, ["lexseg", "1,x", "--vars", "2"])[0] == EXIT_USAGE
+
+    def test_more_variables_than_the_recursion_limit(self, capsys):
+        code, out, err = invoke(capsys, ["lexseg", "1,2", "--vars", "3000"])
+        assert code == EXIT_OK
+        assert [l.strip() for l in out.splitlines()[1:]] == ["1", "x1", "x2"]
+        assert err == ""
 
 
 class TestBFileParsing:
@@ -318,8 +350,7 @@ class TestFetchOeis:
     def test_good_download_is_saved_verbatim(self, monkeypatch, tmp_path):
         body = b"# A232476\n1 1\n2 1\n3 2\n"
         self.serve(monkeypatch, body)
-        reference = fetch_oeis(cache_dir=str(tmp_path))
-        assert reference.entries == [(1, 1), (2, 1), (3, 2)]
+        assert fetch_oeis(cache_dir=str(tmp_path)) == [(1, 1), (2, 1), (3, 2)]
         assert os.listdir(tmp_path) == ["b232476.txt"]
         assert (tmp_path / "b232476.txt").read_bytes() == body
 
