@@ -35,6 +35,10 @@ EXIT_IO = 3
 
 OEIS_BFILE_URL = "https://oeis.org/A232476/b232476.txt"
 
+# lexseg stores sum(h) terms of --vars exponents each; refuse larger inputs
+# before allocating them
+LEXSEG_MAX_SLOTS = 10**7
+
 # suite -> (default --max-d, runner).  The runners look up the suites and
 # count_table when called, so a wrapper installed on either is honoured.
 _SUITES = {
@@ -242,6 +246,10 @@ def _ideal_rows(ideal: OrderIdeal, part: str) -> list[dict]:
 def _cmd_lexseg(args: argparse.Namespace) -> int:
     h = _parse_sequence("lexseg", args.h)
     p = _positive("lexseg", "--vars", args.vars)
+    slots = sum(h) * p
+    if slots > LEXSEG_MAX_SLOTS:
+        raise _UsageError(f"lexseg: sum(h) x --vars = {slots} exponent slots, "
+                          f"above the limit of {LEXSEG_MAX_SLOTS}")
     try:
         ideal = sous_escalier(h, p)
     except ValueError as exc:

@@ -97,17 +97,42 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
     yields a multiplicity-(d - j) part in p - 1 variables with prefix
     length i >= k, paired with a multiplicity-j part in p variables with
     socle degree <= i - 1 and prefix length k - 1.
+
+    The loops visit only cells that can pass the prefix-mass guard of
+    ``_resolve``; it still decides every visited cell.  A part in q
+    variables with prefix length i has forced mass C(q + i, i), which
+    grows with i, so each bound is a first failure after which all fail:
+
+    - k = 0: stop at the first kk with C(p - 1 + kk, kk) > d.
+    - j: start at the right factor's prefix mass C(p + k - 1, k - 1), and
+      end at d - C(p - 1 + k, k), past which even the left factor's
+      smallest prefix mass (i = k) exceeds d - j.
+    - i: stop at the first i with C(p - 1 + i, i) > d - j.
     """
     p, n, k, d = key
     pairs: list[tuple[int | Key, int | Key]] = []
     if k == 0:
-        for kk in range(d):
+        for kk in range(n + 1):
+            if binomial(p - 1 + kk, kk, cap=d) > d:
+                break
             left = _resolve(p - 1, n, kk, d)
             if left != 0:
                 pairs.append((left, 1))
         return pairs
-    for j in range(1, d):
-        for i in range(k, n + 1):
+    lo = binomial(p + k - 1, k - 1, cap=d)
+    # masses[i - k] = C(p - 1 + i, i): the left factor's forced prefix mass
+    masses = []
+    for i in range(k, n + 1):
+        mass = binomial(p - 1 + i, i, cap=d)
+        if mass > d - lo:
+            break
+        masses.append(mass)
+    if not masses:
+        return pairs
+    for j in range(lo, d - masses[0] + 1):
+        for i, mass in enumerate(masses, start=k):
+            if mass > d - j:
+                break
             left = _resolve(p - 1, n, i, d - j)
             if left == 0:
                 continue

@@ -7,6 +7,8 @@ sets, never by binomial expansion.
 """
 from functools import lru_cache
 
+from oseq.counting import _resolve
+
 
 def degree_terms(t: int, p: int) -> list[tuple[int, ...]]:
     out = []
@@ -106,3 +108,24 @@ def fibonacci_upto(limit: int) -> list[int]:
 def first_lex_terms(t: int, p: int, count: int) -> list[tuple[int, ...]]:
     ordered = sorted(degree_terms(t, p), key=lambda m: m[::-1])
     return ordered[:count]
+
+
+def full_grid_summands(key):
+    """Factor pairs of a memo key by the unbounded scan: every (j, i) cell,
+    each settled by ``counting._resolve``.  The reference for the loop
+    bounds of ``counting._summands``, which must keep exactly these pairs."""
+    p, n, k, d = key
+    pairs = []
+    if k == 0:
+        for kk in range(d):
+            left = _resolve(p - 1, n, kk, d)
+            if left != 0:
+                pairs.append((left, 1))
+        return pairs
+    for j in range(1, d):
+        for i in range(k, n + 1):
+            left = _resolve(p - 1, n, i, d - j)
+            right = _resolve(p, i - 1, k - 1, j)
+            if left != 0 and right != 0:
+                pairs.append((left, right))
+    return pairs

@@ -5,12 +5,14 @@ from pathlib import Path
 
 import pytest
 
+from oseq import cli
 from oseq.cli import (
     BFileParseError,
     EXIT_IO,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    LEXSEG_MAX_SLOTS,
     default_cache_dir,
     fetch_oeis,
     parse_b_file,
@@ -272,6 +274,16 @@ class TestLexseg:
         assert code == EXIT_OK
         assert [l.strip() for l in out.splitlines()[1:]] == ["1", "x1", "x2"]
         assert err == ""
+
+    def test_size_limit_refuses_before_building(self, capsys, monkeypatch):
+        def refuse(h, p):
+            raise AssertionError("sous_escalier called on an oversized input")
+
+        monkeypatch.setattr(cli, "sous_escalier", refuse)
+        code, out, err = invoke(capsys, ["lexseg", "1,2", "--vars", "1000000000"])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert str(LEXSEG_MAX_SLOTS) in err
 
 
 class TestBFileParsing:

@@ -13,10 +13,10 @@ from oseq.counting import (
     save_cache,
     two_variable_lex_count,
 )
-from oseq.enumerator import iter_all
+from oseq.enumerator import count_table, iter_all
 from oseq.lexseg import exhaustive_count
 
-from helpers import brute_sequences
+from helpers import brute_sequences, full_grid_summands
 
 # two_variable_lex_count(d) for d = 1..12, frozen from the constrained
 # enumeration oracle (all O-sequences with a_1 <= 2)
@@ -77,10 +77,11 @@ class TestCountViaFormula:
     def test_matches_brute_force(self, d):
         assert count_via_formula(d) == len(brute_sequences(d))
 
-    def test_matches_enumeration_with_shared_cache(self, table60):
+    def test_matches_enumeration_with_shared_cache(self):
+        table = count_table(70)
         cache = CountCache()
-        for d in range(1, 26):
-            assert count_via_formula(d, cache) == table60.O[d]
+        for d in range(1, 71):
+            assert count_via_formula(d, cache) == table.O[d], d
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -98,6 +99,39 @@ class TestCountViaFormula:
         cache = CountCache()
         count_via_formula(17, cache)
         assert len(expanded) == len(cache) == cache.misses
+
+
+def _count_resolve_calls(monkeypatch):
+    calls = [0]
+    resolve = counting._resolve
+
+    def counted(*args):
+        calls[0] += 1
+        return resolve(*args)
+
+    monkeypatch.setattr(counting, "_resolve", counted)
+    return calls
+
+
+class TestSummandBounds:
+    def test_equal_to_full_grid_scan(self):
+        keys = {counting._resolve(p, n, k, d)
+                for p in range(1, 7) for d in range(1, 21)
+                for n in range(d + 1) for k in range(n + 1)}
+        keys = sorted(key for key in keys if isinstance(key, tuple))
+        assert len(keys) > 2000
+        for key in keys:
+            assert counting._summands(key) == full_grid_summands(key), key
+
+    def test_cold_total_visits_few_cells(self, monkeypatch):
+        calls = _count_resolve_calls(monkeypatch)
+        assert count_via_formula(17) == 428
+        assert calls[0] <= 5_000  # the full (j, i) grid makes 25 966
+
+    def test_long_chain_visits_few_cells(self, monkeypatch):
+        calls = _count_resolve_calls(monkeypatch)
+        assert count_restricted(99, 98, 1, 100) == 1
+        assert calls[0] <= 400  # the full (j, i) grid makes 328 349
 
 
 class TestTwoVariable:
