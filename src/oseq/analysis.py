@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .counting import CountCache, count_restricted
+from .counting import CountCache, count_restricted, count_via_formula
 from .enumerator import CountTable, iter_last_gt1, successors
 from .lexseg import exhaustive_count
 from .macaulay import is_o_sequence
@@ -242,6 +242,18 @@ def compare_reference(table: CountTable, reference: dict[int, int] | None = None
             report.flag(d, f"reference prints {expected}, which violates monotonicity; "
                            f"presumed misprint, computed {computed} lies in "
                            f"[{lo}, {hi}]")
+    return report
+
+
+def check_recursion(table: CountTable) -> VerificationReport:
+    """The lex-segment recursion against the window: one check per d that
+    O_d from ``count_via_formula`` equals the table's O_d.  One memo cache
+    serves the whole range, so each d adds only its new keys."""
+    report = VerificationReport(suite="recursion", lo=1, hi=table.max_d)
+    cache = CountCache()
+    for d in range(1, table.max_d + 1):
+        got = count_via_formula(d, cache)
+        report.add(d, "recursion O_d = window O_d", got, table.O[d], got == table.O[d])
     return report
 
 

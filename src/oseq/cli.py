@@ -48,6 +48,7 @@ _SUITES = {
     "table": (60, lambda max_d: analysis.compare_reference(count_table(max_d))),
     "oracle": (10, lambda max_d: analysis.check_oracle_grid(max_d)),
     "bijection": (14, lambda max_d: analysis.check_window_bijection(max_d)),
+    "recursion": (60, lambda max_d: analysis.check_recursion(count_table(max_d))),
 }
 
 

@@ -108,11 +108,17 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
       end at d - C(p - 1 + k, k), past which even the left factor's
       smallest prefix mass (i = k) exceeds d - j.
     - i: stop at the first i with C(p - 1 + i, i) > d - j.
+
+    For p = 2 the left factor lives in one variable, where the only
+    sequence is all ones and ``_resolve`` keeps a prefix length only when
+    it is the multiplicity less one.  So the k = 0 loop visits only
+    kk = d - 1, and the i loop only i = d - j - 1, which the j bound keeps
+    at or above k.
     """
     p, n, k, d = key
     pairs: list[tuple[int | Key, int | Key]] = []
     if k == 0:
-        for kk in range(n + 1):
+        for kk in range(d - 1 if p == 2 else 0, n + 1):
             if binomial(p - 1 + kk, kk, cap=d) > d:
                 break
             left = _resolve(p - 1, n, kk, d)
@@ -129,9 +135,10 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
         masses.append(mass)
     if not masses:
         return pairs
+    stop = k + len(masses)
     for j in range(lo, d - masses[0] + 1):
-        for i, mass in enumerate(masses, start=k):
-            if mass > d - j:
+        for i in range(d - j - 1 if p == 2 else k, stop):
+            if masses[i - k] > d - j:
                 break
             left = _resolve(p - 1, n, i, d - j)
             if left == 0:

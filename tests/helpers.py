@@ -6,6 +6,7 @@ growth bound is obtained by extension counting over explicit monomial
 sets, never by binomial expansion.
 """
 from functools import lru_cache
+from math import comb
 
 from oseq.counting import _resolve
 
@@ -129,3 +130,30 @@ def full_grid_summands(key):
             if left != 0 and right != 0:
                 pairs.append((left, right))
     return pairs
+
+
+@lru_cache(maxsize=None)
+def bounded_partitions(m: int, parts: int, largest: int) -> int:
+    """Partitions of m into at most ``parts`` parts, each at most ``largest``."""
+    if m == 0:
+        return 1
+    if m < 0 or parts == 0 or largest == 0:
+        return 0
+    # either every part is below ``largest``, or one part equals it
+    return (bounded_partitions(m, parts, largest - 1)
+            + bounded_partitions(m - largest, parts - 1, largest))
+
+
+def two_variable_count(n: int, k: int, d: int) -> int:
+    """``count_restricted(2, n, k, d)`` from the shape of two-variable
+    O-sequences, without the recursion.
+
+    A prefix of length exactly k is 1, 2, ..., k + 1, of mass C(k + 2, 2),
+    and a_{k+1} <= k + 1.  In two variables a value a <= t at degree t can
+    grow to at most a, so the tail is nonincreasing with entries <= k + 1,
+    and the socle bound allows at most n - k of them: a partition of the
+    remaining mass.
+    """
+    if k > n:
+        return 0
+    return bounded_partitions(d - comb(k + 2, 2), n - k, k + 1)

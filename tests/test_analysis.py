@@ -9,6 +9,7 @@ from oseq.analysis import (
     check_count_identities,
     check_oracle_grid,
     check_ratios,
+    check_recursion,
     check_sub_fibonacci,
     check_window_bijection,
     compare_reference,
@@ -132,6 +133,18 @@ class TestCrossMethodSuites:
         report = check_window_bijection(max_d=14)
         assert report.passed
         assert report.suite == "bijection"
+
+    def test_recursion(self, table20):
+        report = check_recursion(table20)
+        assert report.passed
+        assert report.suite == "recursion"
+        assert [c.d for c in report.checks] == list(range(1, 21))
+
+    def test_recursion_tampered_table_fails(self):
+        table = count_table(10)
+        table.O[8] *= 2
+        report = check_recursion(table)
+        assert [c.d for c in report.failures()] == [8]
 
 
 class TestReportSerialization:

@@ -194,6 +194,7 @@ class TestVerify:
             pytest.param("table", 0, "positive", id="table"),
             pytest.param("oracle", 0, "1 <= max_d", id="oracle"),
             pytest.param("bijection", 4, "max_d >= 5", id="bijection"),
+            pytest.param("recursion", 0, "positive", id="recursion"),
         ],
     )
     def test_suite_floor(self, capsys, suite, max_d, bound):
@@ -211,6 +212,7 @@ class TestVerify:
             pytest.param("table", "suite table: d in [1, 60]", EXIT_MISMATCH, id="table"),
             pytest.param("oracle", "suite oracle: d in [1, 10]", EXIT_OK, id="oracle"),
             pytest.param("bijection", "suite bijection: d in [5, 14]", EXIT_OK, id="bijection"),
+            pytest.param("recursion", "suite recursion: d in [1, 60]", EXIT_OK, id="recursion"),
         ],
     )
     def test_default_max_d(self, capsys, suite, first_line, code):

@@ -16,7 +16,7 @@ from oseq.counting import (
 from oseq.enumerator import count_table, iter_all
 from oseq.lexseg import exhaustive_count
 
-from helpers import brute_sequences, full_grid_summands
+from helpers import brute_sequences, full_grid_summands, two_variable_count
 
 # two_variable_lex_count(d) for d = 1..12, frozen from the constrained
 # enumeration oracle (all O-sequences with a_1 <= 2)
@@ -126,7 +126,28 @@ class TestSummandBounds:
     def test_cold_total_visits_few_cells(self, monkeypatch):
         calls = _count_resolve_calls(monkeypatch)
         assert count_via_formula(17) == 428
-        assert calls[0] <= 5_000  # the full (j, i) grid makes 25 966
+        # 2 540, every one nonzero; 4 290 when a one-variable left factor
+        # was scanned over its whole i range, 25 966 for the full (j, i) grid
+        assert calls[0] <= 2_600
+
+    def test_one_variable_left_factor_visited_once(self, monkeypatch):
+        zeros = []
+        resolve = counting._resolve
+
+        def watched(*args):
+            value = resolve(*args)
+            if args[0] == 1 and value == 0:
+                zeros.append(args)
+            return value
+
+        monkeypatch.setattr(counting, "_resolve", watched)
+        assert count_via_formula(40) == 164347
+        assert zeros == []  # 88 584 when every i of such a factor was visited
+
+    def test_cold_stats_unchanged(self):
+        cache = CountCache()
+        count_via_formula(17, cache)
+        assert (len(cache), cache.hits, cache.misses) == (383, 1923, 383)
 
     def test_long_chain_visits_few_cells(self, monkeypatch):
         calls = _count_resolve_calls(monkeypatch)
@@ -135,6 +156,19 @@ class TestSummandBounds:
 
 
 class TestTwoVariable:
+    def test_every_cell_matches_partition_count(self):
+        cache = CountCache()
+        for d in range(1, 41):
+            for n in range(d + 1):
+                for k in range(n + 1):
+                    assert count_restricted(2, n, k, d, cache) == \
+                        two_variable_count(n, k, d), (n, k, d)
+
+    def test_partition_count_matches_frozen_values(self):
+        assert [sum(two_variable_count(d - 1, k, d) for k in range(d))
+                for d in range(1, 13)] == EXPECTED_TWO_VAR
+        assert two_variable_count(3, 4, 20) == 0  # k > n
+
     def test_frozen_values(self):
         assert [two_variable_lex_count(d) for d in range(1, 13)] == EXPECTED_TWO_VAR
 
