@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import CountCache, count_restricted, count_via_formula
-from .enumerator import CountTable, iter_last_gt1, successors
+from .enumerator import CountTable, Sequence, iter_stems, successors
 from .lexseg import exhaustive_count
 from .macaulay import is_o_sequence
 
@@ -285,6 +285,18 @@ def check_oracle_grid(max_d: int) -> VerificationReport:
     return report
 
 
+def _last_gt1_buckets(max_d: int) -> dict[int, list[Sequence]]:
+    """``list(iter_last_gt1(d))`` for every 3 <= d <= max_d, from one walk.
+
+    The walk to max_d visits every stem of mass at most max_d once, in the
+    order of each smaller walk; a stem longer than (1,) ends above 1."""
+    buckets: dict[int, list[Sequence]] = {d: [] for d in range(3, max_d + 1)}
+    for stem, rest in iter_stems(max_d):
+        if len(stem) > 1:
+            buckets[max_d - rest].append(stem)
+    return buckets
+
+
 def check_window_bijection(max_d: int) -> VerificationReport:
     """Every multiplicity-d member (d >= 5) of the last-entry-above-1 family
     comes from exactly one parent move: strip a trailing 2 (landing in the
@@ -294,7 +306,7 @@ def check_window_bijection(max_d: int) -> VerificationReport:
     two moves, so the moves of ``successors`` are checked against it."""
     if max_d < 5:
         raise ValueError(f"suite bijection needs max_d >= 5, got {max_d}")
-    buckets = {d: list(iter_last_gt1(d)) for d in range(3, max_d + 1)}
+    buckets = _last_gt1_buckets(max_d)
     report = VerificationReport(suite="bijection", lo=5, hi=max_d)
     for d in range(5, max_d + 1):
         children = buckets[d]

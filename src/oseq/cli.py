@@ -25,7 +25,7 @@ from .counting import (
     save_cache,
     write_atomic,
 )
-from .enumerator import count_table, iter_all, iter_last_gt1
+from .enumerator import count_table, iter_stems
 from .lexseg import OrderIdeal, decompose, sous_escalier, term_str
 
 EXIT_OK = 0
@@ -205,9 +205,18 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = _positive("enumerate", "d", args.d)
-    stream = iter_last_gt1(d) if args.last_gt_1 else iter_all(d)
-    for seq in stream:
-        print(",".join(str(v) for v in seq))
+    last_gt_1, write = args.last_gt_1, sys.stdout.write
+    # texts[t] is the text of the last stem of depth t to come out; the walk
+    # is a preorder, so a stem of depth t extends the one in texts[t - 1]
+    texts = ["1"] * d
+    for stem, rest in iter_stems(d):
+        t = len(stem) - 1
+        if t:
+            texts[t] = f"{texts[t - 1]},{stem[-1]}"
+        if not last_gt_1:
+            write(texts[t] + ",1" * rest + "\n")
+        elif t and not rest:
+            write(texts[t] + "\n")
     return EXIT_OK
 
 

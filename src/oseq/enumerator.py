@@ -67,9 +67,18 @@ def successors(seq: Sequence) -> dict[int, Sequence]:
     return out
 
 
-def _iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
+def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
     """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
-    in lexicographic order of the sequences."""
+    in lexicographic order of the sequences.
+
+    The walk is a preorder: a stem comes out before its extensions, and
+    after it only its own extensions come out until the walk leaves its
+    subtree.  So when a stem of depth t = len(stem) - 1 comes out, the
+    last stem of depth t - 1 yielded is its parent, and a caller can build
+    each stem's text from its parent's.  For d' <= d, the stems of mass at
+    most d' (mass d - rest) are those of ``iter_stems(d')``, in the same
+    order.
+    """
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
     stack: list[tuple[Sequence, int]] = [((1,), d - 1)]
@@ -84,7 +93,7 @@ def _iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
 
 def iter_last_gt1(d: int) -> Iterator[Sequence]:
     """O-sequences of multiplicity d with last entry > 1, in lexicographic order."""
-    for stem, rest in _iter_stems(d):
+    for stem, rest in iter_stems(d):
         if rest == 0 and stem[-1] > 1:
             yield stem
 
@@ -96,7 +105,7 @@ def iter_all(d: int) -> Iterator[Sequence]:
     extensions, which all compare greater; the first item, (1,) * d,
     comes at once.
     """
-    for stem, rest in _iter_stems(d):
+    for stem, rest in iter_stems(d):
         yield stem + (1,) * rest
 
 

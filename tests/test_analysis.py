@@ -13,8 +13,9 @@ from oseq.analysis import (
     check_sub_fibonacci,
     check_window_bijection,
     compare_reference,
+    _last_gt1_buckets,
 )
-from oseq.enumerator import CountTable, count_table
+from oseq.enumerator import CountTable, count_table, iter_last_gt1
 
 from helpers import fibonacci_upto
 
@@ -133,6 +134,11 @@ class TestCrossMethodSuites:
         report = check_window_bijection(max_d=14)
         assert report.passed
         assert report.suite == "bijection"
+
+    @pytest.mark.parametrize("max_d", range(3, 25))
+    def test_one_walk_buckets(self, max_d):
+        assert _last_gt1_buckets(max_d) == {
+            d: list(iter_last_gt1(d)) for d in range(3, max_d + 1)}
 
     def test_recursion(self, table20):
         report = check_recursion(table20)

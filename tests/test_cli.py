@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,14 +20,22 @@ from oseq.cli import (
     parse_b_file,
     run,
 )
+from oseq.enumerator import iter_all, iter_last_gt1
+
+from helpers import brute_sequences
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def invoke(capsys, argv):
     code = run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def joined(seqs) -> str:
+    return "".join(",".join(map(str, seq)) + "\n" for seq in seqs)
 
 
 class TestTable:
@@ -154,6 +164,41 @@ class TestEnumerate:
             run(["enumerate", "4", "--all", "--last-gt-1"])
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("d", range(1, 15))
+    def test_matches_brute_force(self, capsys, d):
+        # the oracle filters compositions and never walks the stems
+        expected = brute_sequences(d)
+        assert invoke(capsys, ["enumerate", str(d), "--all"]) == (EXIT_OK, joined(expected), "")
+        assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
+            EXIT_OK, joined(seq for seq in expected if seq[-1] > 1), "")
+
+    @pytest.mark.parametrize("d", [24, 32])
+    def test_matches_tuple_walk(self, capsys, d):
+        assert invoke(capsys, ["enumerate", str(d), "--all"]) == (
+            EXIT_OK, joined(iter_all(d)), "")
+        assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
+            EXIT_OK, joined(iter_last_gt1(d)), "")
+
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # enumerate 60 prints 9.5 million lines, so the reader closes the
+        # pipe long before the walk ends
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        with open(tmp_path / "stderr", "wb") as err:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "oseq.cli", "enumerate", "60", "--all"],
+                stdout=subprocess.PIPE, stderr=err, env=env)
+            try:
+                first = proc.stdout.readline()
+                proc.stdout.close()
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
+                proc.wait()
+        assert first == b"1" + b",1" * 59 + b"\n"
+        assert code == EXIT_OK
+        assert (tmp_path / "stderr").read_bytes() == b""
 
 
 class TestVerify:
