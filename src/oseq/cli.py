@@ -25,7 +25,7 @@ from .counting import (
     save_cache,
     write_atomic,
 )
-from .enumerator import count_table, iter_stems
+from .enumerator import count_table, iter_nodes
 from .lexseg import OrderIdeal, decompose, sous_escalier, term_str
 
 EXIT_OK = 0
@@ -209,10 +209,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     # texts[t] is the text of the last stem of depth t to come out; the walk
     # is a preorder, so a stem of depth t extends the one in texts[t - 1]
     texts = ["1"] * d
-    for stem, rest in iter_stems(d):
-        t = len(stem) - 1
+    for t, v, rest in iter_nodes(d):
         if t:
-            texts[t] = f"{texts[t - 1]},{stem[-1]}"
+            texts[t] = f"{texts[t - 1]},{v}"
         if not last_gt_1:
             write(texts[t] + ",1" * rest + "\n")
         elif t and not rest:

@@ -21,7 +21,9 @@ Listing does not use the two moves.  Since growth_bound(1, t) = 1 for
 t >= 1, an entry 1 after position 0 forces every later entry to be 1, so
 each O-sequence is a stem (1, a_1, ..., a_s) with every a_t >= 2, followed
 by trailing 1s.  A depth-first walk over the stems visits each O-sequence
-once, in lexicographic order, holding only its stack.
+once, in lexicographic order.  Its stack holds, for each open node, an
+iterator over the entries still to try and that node's rest (the mass left
+for the trailing part); no stem is built.
 """
 from __future__ import annotations
 
@@ -67,28 +69,56 @@ def successors(seq: Sequence) -> dict[int, Sequence]:
     return out
 
 
-def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
-    """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
-    in lexicographic order of the sequences.
+def iter_nodes(d: int) -> Iterator[tuple[int, int, int]]:
+    """(t, a_t, rest) for every stem (1, a_1, ..., a_t) of an O-sequence
+    stem + (1,) * rest of multiplicity d, in lexicographic order of the
+    sequences.  The root is (0, 1, d - 1).
 
-    The walk is a preorder: a stem comes out before its extensions, and
-    after it only its own extensions come out until the walk leaves its
-    subtree.  So when a stem of depth t = len(stem) - 1 comes out, the
-    last stem of depth t - 1 yielded is its parent, and a caller can build
-    each stem's text from its parent's.  For d' <= d, the stems of mass at
-    most d' (mass d - rest) are those of ``iter_stems(d')``, in the same
-    order.
+    The walk is a preorder: a node comes out before its children, and
+    after it only its own descendants come out until the walk leaves its
+    subtree.  So when a node of depth t comes out, the last node of depth
+    t - 1 yielded is its parent, and a caller can build each stem from its
+    parent's.  For d' <= d, the nodes of mass at most d' (mass d - rest)
+    are those of ``iter_nodes(d')``, in the same order.
+
+    Every entry after a_0 is at least 2, so a node whose rest is below 2
+    has no child: it gets no ``growth_bound`` lookup and no stack frame.
     """
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
-    stack: list[tuple[Sequence, int]] = [((1,), d - 1)]
+    yield 0, 1, d - 1
+    # one frame per open node: its untried entries and its rest; a_1 is
+    # unconstrained, so the root's entries run up to its rest
+    stack = [(iter(range(2, d)), d - 1)] if d > 2 else []
     while stack:
-        stem, rest = stack.pop()
-        yield stem, rest
-        t = len(stem) - 1
-        top = rest if t == 0 else min(rest, growth_bound(stem[-1], t))
-        # pushed largest first, so the smallest next entry is walked first
-        stack.extend((stem + (v,), rest - v) for v in range(top, 1, -1))
+        entries, rest = stack[-1]
+        t = len(stack)
+        for v in entries:
+            left = rest - v
+            yield t, v, left
+            if left >= 2:
+                # growth_bound(v, t) >= v >= 2, so the new frame is not empty
+                top = min(left, growth_bound(v, t))
+                stack.append((iter(range(2, top + 1)), left))
+                break
+        else:
+            stack.pop()
+
+
+def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
+    """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
+    in the order of ``iter_nodes(d)``: lexicographic order of the sequences,
+    and a preorder.  So for d' <= d, the stems of mass at most d' (mass
+    d - rest) are those of ``iter_stems(d')``, in the same order.
+
+    Keeps one tuple per depth, each built from its parent's.
+    """
+    # a stem of mass <= d has depth at most (d - 1) // 2 < d
+    stems: list[Sequence] = [(1,)] * d
+    for t, v, rest in iter_nodes(d):
+        if t:
+            stems[t] = stems[t - 1] + (v,)
+        yield stems[t], rest
 
 
 def iter_last_gt1(d: int) -> Iterator[Sequence]:

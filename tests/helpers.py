@@ -9,6 +9,7 @@ from functools import lru_cache
 from math import comb
 
 from oseq.counting import _resolve
+from oseq.macaulay import growth_bound
 
 
 def degree_terms(t: int, p: int) -> list[tuple[int, ...]]:
@@ -157,3 +158,21 @@ def two_variable_count(n: int, k: int, d: int) -> int:
     if k > n:
         return 0
     return bounded_partitions(d - comb(k + 2, 2), n - k, k + 1)
+
+
+def stem_walk(d: int):
+    """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
+    by a stack of whole stem tuples: each node pushes one tuple per child,
+    largest entry first, and looks up the growth bound even when its rest
+    leaves no room for a child.  The reference for ``enumerator.iter_nodes``
+    and ``iter_stems``, which must yield the same stems in the same order."""
+    if d < 1:
+        raise ValueError(f"multiplicity must be positive, got {d}")
+    stack = [((1,), d - 1)]
+    while stack:
+        stem, rest = stack.pop()
+        yield stem, rest
+        t = len(stem) - 1
+        top = rest if t == 0 else min(rest, growth_bound(stem[-1], t))
+        # pushed largest first, so the smallest next entry is walked first
+        stack.extend((stem + (v,), rest - v) for v in range(top, 1, -1))

@@ -20,9 +20,10 @@ from oseq.cli import (
     parse_b_file,
     run,
 )
-from oseq.enumerator import iter_all, iter_last_gt1
+from oseq.enumerator import count_table
+from oseq.macaulay import growth_bound
 
-from helpers import brute_sequences
+from helpers import brute_sequences, stem_walk
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -173,12 +174,24 @@ class TestEnumerate:
         assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
             EXIT_OK, joined(seq for seq in expected if seq[-1] > 1), "")
 
-    @pytest.mark.parametrize("d", [24, 32])
+    @pytest.mark.parametrize("d", [24, 32, 40])
     def test_matches_tuple_walk(self, capsys, d):
+        # the reference walk pushes whole stem tuples and shares no code
+        # with iter_nodes, which enumerate walks
+        stems = list(stem_walk(d))
         assert invoke(capsys, ["enumerate", str(d), "--all"]) == (
-            EXIT_OK, joined(iter_all(d)), "")
+            EXIT_OK, joined(stem + (1,) * rest for stem, rest in stems), "")
         assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
-            EXIT_OK, joined(iter_last_gt1(d)), "")
+            EXIT_OK, joined(stem for stem, rest in stems if not rest and stem[-1] > 1), "")
+
+    @pytest.mark.parametrize("d", [24, 32])
+    def test_no_lookup_at_leaves(self, capsys, d):
+        # a node with rest < 2 has no child, so only the nodes of mass at
+        # most d - 2 other than the root look up their growth bound
+        growth_bound.cache_clear()
+        assert invoke(capsys, ["enumerate", str(d), "--all"])[0] == EXIT_OK
+        info = growth_bound.cache_info()
+        assert info.hits + info.misses == count_table(d).O[d - 2] - 1
 
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # enumerate 60 prints 9.5 million lines, so the reader closes the

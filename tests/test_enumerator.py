@@ -3,10 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oseq.analysis import check_count_identities, check_sub_fibonacci
-from oseq.enumerator import count_table, iter_all, iter_last_gt1, successors
+from oseq.enumerator import (
+    count_table, iter_all, iter_last_gt1, iter_nodes, iter_stems, successors)
 from oseq.macaulay import is_o_sequence
 
-from helpers import brute_sequences
+from helpers import brute_sequences, stem_walk
 
 # Computed three ways (window construction, recursion, composition filter
 # with an extension-oracle bound); frozen here.
@@ -47,6 +48,22 @@ class TestSuccessors:
             assert is_o_sequence(child)
             assert sum(child) == sum(seq) + delta
             assert child[-1] > 1
+
+
+class TestIterNodes:
+    def test_d6(self):
+        # 1,1,1,1,1,1 / 1,2,1,1,1 / 1,2,2,1 / 1,2,3 / 1,3,1,1 / 1,3,2 / 1,4,1 / 1,5
+        assert list(iter_nodes(6)) == [
+            (0, 1, 5), (1, 2, 3), (2, 2, 1), (2, 3, 0),
+            (1, 3, 2), (2, 2, 0), (1, 4, 1), (1, 5, 0)]
+
+    @pytest.mark.parametrize("d", range(1, 27))
+    def test_stems_match_tuple_walk(self, d):
+        assert list(iter_stems(d)) == list(stem_walk(d))
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            next(iter_nodes(0))
 
 
 class TestIterLastGt1:
