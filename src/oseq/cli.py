@@ -25,7 +25,7 @@ from .counting import (
     save_cache,
     write_atomic,
 )
-from .enumerator import count_table, iter_nodes
+from .enumerator import count_table, iter_text
 from .lexseg import OrderIdeal, decompose, sous_escalier, term_str
 
 EXIT_OK = 0
@@ -98,23 +98,28 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
     return entries
 
 
+def _utf8(body: bytes, what: str) -> str:
+    try:
+        return body.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileParseError(f"{what} is not UTF-8 text: {exc}") from None
+
+
 def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tuple[int, int]]:
     """The entries of OEIS A232476, from the on-disk copy when present,
     otherwise fetched over HTTP and cached for later offline runs.
 
     A download is parsed before it is saved, and saved atomically, so a
-    bad response raises BFileParseError and leaves no copy behind."""
+    bad response raises BFileParseError and leaves no copy behind.  A copy
+    on disk that is not UTF-8 or does not parse raises BFileParseError too."""
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
     if os.path.exists(cached):
-        with open(cached, "r", encoding="utf-8") as fh:
-            return parse_b_file(fh.read())
+        with open(cached, "rb") as fh:
+            return parse_b_file(_utf8(fh.read(), f"cached copy {cached}"))
     with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
         body = response.read()
-    try:
-        text = body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BFileParseError(f"response is not UTF-8 text: {exc}") from None
+    text = _utf8(body, "response")
     entries = parse_b_file(text)
     os.makedirs(directory, exist_ok=True)
     write_atomic(cached, text, "utf-8")
@@ -205,17 +210,9 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = _positive("enumerate", "d", args.d)
-    last_gt_1, write = args.last_gt_1, sys.stdout.write
-    # texts[t] is the text of the last stem of depth t to come out; the walk
-    # is a preorder, so a stem of depth t extends the one in texts[t - 1]
-    texts = ["1"] * d
-    for t, v, rest in iter_nodes(d):
-        if t:
-            texts[t] = f"{texts[t - 1]},{v}"
-        if not last_gt_1:
-            write(texts[t] + ",1" * rest + "\n")
-        elif t and not rest:
-            write(texts[t] + "\n")
+    write = sys.stdout.write
+    for chunk in iter_text(d, args.last_gt_1):
+        write(chunk)
     return EXIT_OK
 
 

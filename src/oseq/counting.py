@@ -246,26 +246,32 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
     """Read a persisted cache, merging into ``into`` when given.
 
     A key already present must carry the same count, otherwise the merge
-    fails with CacheCorruptionError; malformed lines raise CacheFormatError.
+    fails with CacheCorruptionError; malformed lines, and bytes that are
+    not ASCII, raise CacheFormatError.
     """
     cache = into if into is not None else CountCache()
-    with open(path, "r", encoding="ascii") as fh:
-        first = fh.readline().rstrip("\n")
-        if first != _HEADER:
-            raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 5:
-                raise CacheFormatError(f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-            try:
-                p, n, k, d, count = (int(f) for f in fields)
-            except ValueError as exc:
-                raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
-            try:
-                cache.insert((p, n, k, d), count)
-            except CacheCorruptionError as exc:
-                raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            first = fh.readline().rstrip("\n")
+            if first != _HEADER:
+                raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(",")
+                if len(fields) != 5:
+                    raise CacheFormatError(
+                        f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+                try:
+                    p, n, k, d, count = (int(f) for f in fields)
+                except ValueError as exc:
+                    raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
+                try:
+                    cache.insert((p, n, k, d), count)
+                except CacheCorruptionError as exc:
+                    raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the file is decoded as it is read, so a stray byte surfaces here
+        raise CacheFormatError(f"{path}: not an ASCII memo file: {exc}") from None
     return cache

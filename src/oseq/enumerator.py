@@ -24,6 +24,12 @@ by trailing 1s.  A depth-first walk over the stems visits each O-sequence
 once, in lexicographic order.  Its stack holds, for each open node, an
 iterator over the entries still to try and that node's rest (the mass left
 for the trailing part); no stem is built.
+
+The subtree under a node (t, a_t, rest) depends only on those three numbers,
+and few of them are distinct (987 among the 25 674 nodes at d = 32).  So
+iter_text, the text of ``oseq enumerate``, builds each subtree of at most
+BLOCK_LINES nodes once per call as one block of text, from its children's
+blocks, and walks only the larger subtrees node by node.
 """
 from __future__ import annotations
 
@@ -35,6 +41,9 @@ from .macaulay import growth_bound
 
 Sequence = tuple[int, ...]
 State = tuple[int, int, int]
+
+# The largest subtree, in nodes, that iter_text builds as one memoized block.
+BLOCK_LINES = 256
 
 
 @dataclass
@@ -69,6 +78,16 @@ def successors(seq: Sequence) -> dict[int, Sequence]:
     return out
 
 
+def _entries(t: int, v: int, rest: int) -> range:
+    """The entries a_{t+1} of the children of node (t, v, rest), for rest >= 2.
+
+    The step out of a_0 = 1 is unconstrained; after it the growth bound
+    caps the next entry.  Callers ask only at rest >= 2, since every entry
+    after a_0 is at least 2, so a node with less rest makes no lookup.
+    """
+    return range(2, (rest if t == 0 else min(rest, growth_bound(v, t))) + 1)
+
+
 def iter_nodes(d: int) -> Iterator[tuple[int, int, int]]:
     """(t, a_t, rest) for every stem (1, a_1, ..., a_t) of an O-sequence
     stem + (1,) * rest of multiplicity d, in lexicographic order of the
@@ -87,9 +106,8 @@ def iter_nodes(d: int) -> Iterator[tuple[int, int, int]]:
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
     yield 0, 1, d - 1
-    # one frame per open node: its untried entries and its rest; a_1 is
-    # unconstrained, so the root's entries run up to its rest
-    stack = [(iter(range(2, d)), d - 1)] if d > 2 else []
+    # one frame per open node: its untried entries and its rest
+    stack = [(iter(_entries(0, 1, d - 1)), d - 1)] if d > 2 else []
     while stack:
         entries, rest = stack[-1]
         t = len(stack)
@@ -98,9 +116,82 @@ def iter_nodes(d: int) -> Iterator[tuple[int, int, int]]:
             yield t, v, left
             if left >= 2:
                 # growth_bound(v, t) >= v >= 2, so the new frame is not empty
-                top = min(left, growth_bound(v, t))
-                stack.append((iter(range(2, top + 1)), left))
+                stack.append((iter(_entries(t, v, left)), left))
                 break
+        else:
+            stack.pop()
+
+
+def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
+    """The text of ``oseq enumerate d``: one line per O-sequence of
+    multiplicity d, its entries joined by commas, in the order of
+    ``iter_nodes(d)``; with ``last_gt_1`` only the lines of sequences whose
+    last entry exceeds 1.  Yields chunks of whole lines.
+
+    The lines under a node (t, v, rest), less the node's own stem text,
+    depend only on (t, v, rest).  A subtree of at most BLOCK_LINES nodes is
+    therefore built once per call as one block, memoized by that triple,
+    from its children's blocks, each child's lines taking their entry in
+    front through one ``str.replace``.  Larger subtrees are walked node by
+    node on an explicit stack, as in ``iter_nodes``; a node whose rest
+    allows a chain of more than BLOCK_LINES - 1 twos below it is refused at
+    once.  The root line comes out before any block is built.  The memo
+    lives only as long as the generator.
+    """
+    if d < 1:
+        raise ValueError(f"multiplicity must be positive, got {d}")
+    limit = BLOCK_LINES
+    # (t, v, rest) -> (block, nodes), or None for a subtree over the limit.
+    # A block holds one "\n" + suffix per node of the subtree, in preorder;
+    # the suffix is what follows the node's stem text on its line, and is
+    # the empty string for a node whose line is not printed.
+    memo: dict[tuple[int, int, int], tuple[str, int] | None] = {}
+
+    def block(t: int, v: int, rest: int) -> tuple[str, int] | None:
+        key = (t, v, rest)
+        if key in memo:
+            return memo[key]
+        # the chain of 2s below the node alone has rest // 2 nodes
+        if rest // 2 + 1 > limit:
+            return None
+        if last_gt_1:
+            parts = ["" if rest else "\n"]
+        else:
+            parts = ["\n" + ",1" * rest]
+        nodes = 1
+        if rest >= 2:
+            for w in _entries(t, v, rest):
+                child = block(t + 1, w, rest - w)
+                if child is None or nodes + child[1] > limit:
+                    memo[key] = None
+                    return None
+                nodes += child[1]
+                parts.append(child[0].replace("\n", f"\n,{w}"))
+        memo[key] = result = "".join(parts), nodes
+        return result
+
+    if not last_gt_1:
+        yield "1" + ",1" * (d - 1) + "\n"
+    # one frame per open node: its untried entries, its rest and its text
+    stack = [(iter(_entries(0, 1, d - 1)), d - 1, "1")] if d > 2 else []
+    while stack:
+        entries, rest, text = stack[-1]
+        t = len(stack)
+        for v in entries:
+            left = rest - v
+            child = block(t, v, left)
+            if child is not None:
+                if child[0]:
+                    # drop the block's leading newline and end its last line
+                    yield child[0].replace("\n", f"\n{text},{v}")[1:] + "\n"
+                continue
+            # a refused node has children (BLOCK_LINES >= 1), so left >= 2
+            # and its own line ends in a 1
+            line = f"{text},{v}"
+            if not last_gt_1:
+                yield line + ",1" * left + "\n"
+            stack.append((iter(_entries(t, v, left)), left, line))
+            break
         else:
             stack.pop()
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oseq import cli
+from oseq import cli, enumerator
 from oseq.cli import (
     BFileParseError,
     EXIT_IO,
@@ -37,6 +37,25 @@ def invoke(capsys, argv):
 
 def joined(seqs) -> str:
     return "".join(",".join(map(str, seq)) + "\n" for seq in seqs)
+
+
+def head_of_enumerate(d, lines, tmp_path):
+    """The first ``lines`` lines of ``oseq enumerate d --all`` in a child
+    process whose stdout pipe is then closed; its exit code and stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "oseq.cli", "enumerate", str(d), "--all"],
+            stdout=subprocess.PIPE, stderr=err, env=env)
+        try:
+            first = [proc.stdout.readline() for _ in range(lines)]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+    return first, code, (tmp_path / "stderr").read_bytes()
 
 
 class TestTable:
@@ -145,6 +164,13 @@ class TestFormula:
         assert cache.read_bytes() == before
         assert os.listdir(tmp_path) == ["memo.txt"]
 
+    def test_non_ascii_cache_file(self, capsys, tmp_path):
+        cache = tmp_path / "memo.txt"
+        cache.write_bytes(b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,\xe9\n")
+        code, out, err = invoke(capsys, ["formula", "3", "8", "1", "9", "--cache", str(cache)])
+        assert (code, out) == (EXIT_IO, "")
+        assert str(cache) in err and "not an ASCII memo file" in err
+
     def test_negative_parameter(self, capsys):
         assert invoke(capsys, ["formula", "3", "8", "1", "-1"])[0] == EXIT_USAGE
 
@@ -184,34 +210,46 @@ class TestEnumerate:
         assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
             EXIT_OK, joined(stem for stem, rest in stems if not rest and stem[-1] > 1), "")
 
-    @pytest.mark.parametrize("d", [24, 32])
-    def test_no_lookup_at_leaves(self, capsys, d):
-        # a node with rest < 2 has no child, so only the nodes of mass at
-        # most d - 2 other than the root look up their growth bound
+    def test_one_lookup_per_block_state(self, capsys):
+        # a block is built once per (t, a_t, rest), so the growth bound is
+        # looked up once per distinct state, not once per node of mass
+        # <= d - 2 as in iter_nodes (15 682 at d = 32)
         growth_bound.cache_clear()
-        assert invoke(capsys, ["enumerate", str(d), "--all"])[0] == EXIT_OK
+        assert invoke(capsys, ["enumerate", "32", "--all"])[0] == EXIT_OK
         info = growth_bound.cache_info()
-        assert info.hits + info.misses == count_table(d).O[d - 2] - 1
+        assert info.hits + info.misses < 1000
+
+    @pytest.mark.parametrize("limit", [1, 2, count_table(26).O[26] + 1],
+                             ids=["1", "2", "above-O_d"])
+    def test_block_limit_boundaries(self, capsys, monkeypatch, limit):
+        # limit 1: every leaf is a block and every inner node is walked;
+        # above O_d: every child of the root is one block.  --last-gt-1
+        # meets empty blocks, such as a node with rest 1
+        monkeypatch.setattr(enumerator, "BLOCK_LINES", limit)
+        for d in range(1, 27):
+            stems = list(stem_walk(d))
+            assert invoke(capsys, ["enumerate", str(d), "--all"]) == (
+                EXIT_OK, joined(stem + (1,) * rest for stem, rest in stems), "")
+            assert invoke(capsys, ["enumerate", str(d), "--last-gt-1"]) == (
+                EXIT_OK, joined(stem for stem, rest in stems if not rest and stem[-1] > 1), "")
 
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # enumerate 60 prints 9.5 million lines, so the reader closes the
         # pipe long before the walk ends
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-        with open(tmp_path / "stderr", "wb") as err:
-            proc = subprocess.Popen(
-                [sys.executable, "-m", "oseq.cli", "enumerate", "60", "--all"],
-                stdout=subprocess.PIPE, stderr=err, env=env)
-            try:
-                first = proc.stdout.readline()
-                proc.stdout.close()
-                code = proc.wait(timeout=60)
-            finally:
-                proc.kill()
-                proc.wait()
-        assert first == b"1" + b",1" * 59 + b"\n"
+        first, code, err = head_of_enumerate(60, 1, tmp_path)
+        assert first == [b"1" + b",1" * 59 + b"\n"]
         assert code == EXIT_OK
-        assert (tmp_path / "stderr").read_bytes() == b""
+        assert err == b""
+
+    def test_deep_walk_needs_no_recursion(self, tmp_path):
+        # the chain of 2s under 1,2 is 749 nodes deep; only subtrees within
+        # the block limit are built recursively
+        first, code, err = head_of_enumerate(1500, 3, tmp_path)
+        assert first == [b"1" + b",1" * 1499 + b"\n",
+                         b"1,2" + b",1" * 1497 + b"\n",
+                         b"1,2,2" + b",1" * 1495 + b"\n"]
+        assert code == EXIT_OK
+        assert err == b""
 
 
 class TestVerify:
@@ -400,6 +438,20 @@ class TestOeisCheck:
         )
         assert code == EXIT_IO
         assert err
+
+    def test_non_utf8_cached_file(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "b232476.txt").write_bytes(b"1 1\n2 1\n3 \xff\n")
+
+        def offline(url, timeout):
+            raise AssertionError("the cached copy must be used")
+
+        monkeypatch.setattr("oseq.cli.urllib.request.urlopen", offline)
+        code, out, err = invoke(
+            capsys,
+            ["oeis-check", "--max-d", "4", "--allow-network", "--cache-dir", str(tmp_path)],
+        )
+        assert (code, out) == (EXIT_IO, "")
+        assert str(tmp_path / "b232476.txt") in err and "not UTF-8" in err
 
     def test_default_cache_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("OSEQ_CACHE_DIR", str(tmp_path))

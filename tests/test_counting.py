@@ -259,6 +259,12 @@ class TestCachePersistence:
         with pytest.raises(CacheFormatError):
             load_cache(str(path))
 
+    def test_non_ascii_byte(self, tmp_path):
+        path = tmp_path / "memo.cache"
+        path.write_bytes(b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,\xe9\n")
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path}: not an ASCII memo file")):
+            load_cache(str(path))
+
     def test_warm_cache_needs_no_expansion(self, tmp_path):
         cache = CountCache()
         first = count_restricted(4, 8, 1, 10, cache)

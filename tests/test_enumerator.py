@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from oseq.analysis import check_count_identities, check_sub_fibonacci
 from oseq.enumerator import (
     count_table, iter_all, iter_last_gt1, iter_nodes, iter_stems, successors)
-from oseq.macaulay import is_o_sequence
+from oseq.macaulay import growth_bound, is_o_sequence
 
 from helpers import brute_sequences, stem_walk
 
@@ -60,6 +60,16 @@ class TestIterNodes:
     @pytest.mark.parametrize("d", range(1, 27))
     def test_stems_match_tuple_walk(self, d):
         assert list(iter_stems(d)) == list(stem_walk(d))
+
+    @pytest.mark.parametrize("d", [24, 32])
+    def test_no_lookup_at_leaves(self, d):
+        # a node with rest < 2 has no child, so only the nodes of mass at
+        # most d - 2 other than the root look up their growth bound
+        growth_bound.cache_clear()
+        for _ in iter_nodes(d):
+            pass
+        info = growth_bound.cache_info()
+        assert info.hits + info.misses == count_table(d).O[d - 2] - 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
