@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import CountCache, count_restricted, count_via_formula
-from .enumerator import CountTable, Sequence, iter_stems, successors
+from .enumerator import CountTable, Sequence, can_increment, iter_stems
 from .lexseg import exhaustive_count
 from .macaulay import is_o_sequence
 
@@ -286,7 +286,8 @@ def check_oracle_grid(max_d: int) -> VerificationReport:
 
 
 def _last_gt1_buckets(max_d: int) -> dict[int, list[Sequence]]:
-    """``list(iter_last_gt1(d))`` for every 3 <= d <= max_d, from one walk.
+    """The O-sequences of multiplicity d whose last entry exceeds 1, in
+    lexicographic order, for every 3 <= d <= max_d, from one walk.
 
     The walk to max_d visits every stem of mass at most max_d once, in the
     order of each smaller walk; a stem longer than (1,) ends above 1."""
@@ -303,7 +304,8 @@ def check_window_bijection(max_d: int) -> VerificationReport:
     d-2 bucket) or decrement the last entry (landing in the d-1 bucket).
 
     The buckets come from the depth-first lister, which does not use the
-    two moves, so the moves of ``successors`` are checked against it."""
+    two moves, so the increment rule ``can_increment`` of the window is
+    checked against it."""
     if max_d < 5:
         raise ValueError(f"suite bijection needs max_d >= 5, got {max_d}")
     buckets = _last_gt1_buckets(max_d)
@@ -319,7 +321,8 @@ def check_window_bijection(max_d: int) -> VerificationReport:
         report.add(d, "append-2 children restore the d-2 bucket",
                    len(from_append), len(buckets[d - 2]),
                    from_append == set(buckets[d - 2]))
-        incrementable = {s for s in buckets[d - 1] if 1 in successors(s)}
+        incrementable = {s for s in buckets[d - 1]
+                         if can_increment(len(s) - 1, s[-2], s[-1])}
         report.add(d, "increment children restore the d-1 extendable set",
                    len(from_incr), len(incrementable), from_incr == incrementable)
     return report

@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-import urllib.error
 import urllib.request
 
 from . import analysis
@@ -98,31 +97,34 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def _utf8(body: bytes, what: str) -> str:
-    try:
-        return body.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise BFileParseError(f"{what} is not UTF-8 text: {exc}") from None
-
-
 def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tuple[int, int]]:
     """The entries of OEIS A232476, from the on-disk copy when present,
     otherwise fetched over HTTP and cached for later offline runs.
 
     A download is parsed before it is saved, and saved atomically, so a
     bad response raises BFileParseError and leaves no copy behind.  A copy
-    on disk that is not UTF-8 or does not parse raises BFileParseError too."""
+    on disk that is not UTF-8 or does not parse raises BFileParseError too.
+    Every OSError or BFileParseError names the file or URL at fault."""
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
-    if os.path.exists(cached):
-        with open(cached, "rb") as fh:
-            return parse_b_file(_utf8(fh.read(), f"cached copy {cached}"))
-    with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
-        body = response.read()
-    text = _utf8(body, "response")
-    entries = parse_b_file(text)
-    os.makedirs(directory, exist_ok=True)
-    write_atomic(cached, text, "utf-8")
+    source = cached if os.path.exists(cached) else OEIS_BFILE_URL
+    try:
+        if source == cached:
+            with open(cached, "rb") as fh:
+                return parse_b_file(fh.read().decode("utf-8"))
+        with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
+            text = response.read().decode("utf-8")
+        entries = parse_b_file(text)
+        # from here on, a failure is in saving the copy
+        source = cached
+        os.makedirs(directory, exist_ok=True)
+        write_atomic(cached, text, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise BFileParseError(f"{source}: not UTF-8 text: {exc}") from None
+    except BFileParseError as exc:
+        raise BFileParseError(f"{source}: {exc}") from None
+    except OSError as exc:
+        raise OSError(f"{source}: {exc}") from exc
     return entries
 
 
@@ -292,11 +294,8 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     max_d = _positive("oeis-check", "--max-d", args.max_d)
     try:
         entries = fetch_oeis(cache_dir=args.cache_dir)
-    except (urllib.error.URLError, OSError) as exc:
-        print(f"oeis-check: fetching {OEIS_BFILE_URL}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except BFileParseError as exc:
-        print(f"oeis-check: {OEIS_BFILE_URL}: {exc}", file=sys.stderr)
+    except (OSError, BFileParseError) as exc:
+        print(f"oeis-check: {exc}", file=sys.stderr)
         return EXIT_IO
     table = count_table(max_d)
     known = dict(entries)

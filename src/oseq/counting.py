@@ -208,15 +208,6 @@ def count_via_formula(d: int, cache: CountCache | None = None) -> int:
     return count_restricted(d, d - 1, 0, d, cache)
 
 
-def two_variable_lex_count(d: int, cache: CountCache | None = None) -> int:
-    """Number of multiplicity-d O-sequences realizable by lex segments in
-    two variables (a_1 <= 2), summed over prefix lengths."""
-    if d < 1:
-        raise ValueError(f"multiplicity must be positive, got {d}")
-    cache = cache if cache is not None else CountCache()
-    return sum(count_restricted(2, d - 1, k, d, cache) for k in range(d))
-
-
 def write_atomic(path: str, text: str, encoding: str) -> None:
     """Replace ``path`` by ``text`` through a temporary file in the same
     directory, so a failed write leaves the old file and no temporary one."""

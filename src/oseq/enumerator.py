@@ -59,23 +59,12 @@ class CountTable:
             yield d, self.O[d], self.A[d]
 
 
-def _can_increment(s: int, prev: int, last: int) -> bool:
+def can_increment(s: int, prev: int, last: int) -> bool:
+    """Whether a sequence ending (..., prev, last) with last at position s
+    stays an O-sequence when last grows by one: the increment move of
+    count_table, decided by the state (s, a_{s-1}, a_s) alone."""
     # the step a_{s-1} -> a_s is unconstrained at s = 1
     return s == 1 or last < growth_bound(prev, s - 1)
-
-
-def successors(seq: Sequence) -> dict[int, Sequence]:
-    """The children of a last-entry-above-1 sequence, keyed by multiplicity gain.
-
-    Key 2 maps to the appended child (always present), key 1 to the
-    incremented child (present only when the growth bound permits).
-    """
-    if len(seq) < 2 or seq[0] != 1 or seq[-1] < 2:
-        raise ValueError(f"not a last-entry-above-1 O-sequence stem: {seq!r}")
-    out: dict[int, Sequence] = {2: seq + (2,)}
-    if _can_increment(len(seq) - 1, seq[-2], seq[-1]):
-        out[1] = seq[:-1] + (seq[-1] + 1,)
-    return out
 
 
 def _entries(t: int, v: int, rest: int) -> range:
@@ -212,24 +201,6 @@ def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
         yield stems[t], rest
 
 
-def iter_last_gt1(d: int) -> Iterator[Sequence]:
-    """O-sequences of multiplicity d with last entry > 1, in lexicographic order."""
-    for stem, rest in iter_stems(d):
-        if rest == 0 and stem[-1] > 1:
-            yield stem
-
-
-def iter_all(d: int) -> Iterator[Sequence]:
-    """All O-sequences of multiplicity d, in lexicographic order.
-
-    Each stem is yielded padded with its trailing 1s before any of its
-    extensions, which all compare greater; the first item, (1,) * d,
-    comes at once.
-    """
-    for stem, rest in iter_stems(d):
-        yield stem + (1,) * rest
-
-
 def count_table(max_d: int) -> CountTable:
     """O_d and A_d for all d up to max_d via the sliding-window recurrence."""
     if max_d < 1:
@@ -245,7 +216,7 @@ def count_table(max_d: int) -> CountTable:
         for (s, _, last), n in two_back.items():
             bucket[(s + 1, last, 2)] += n
         for (s, prev, last), n in one_back.items():
-            if _can_increment(s, prev, last):
+            if can_increment(s, prev, last):
                 bucket[(s, prev, last + 1)] += n
         a[d] = sum(bucket.values())
         two_back, one_back = one_back, bucket

@@ -81,8 +81,6 @@ def brute_sequences(d: int) -> tuple[tuple[int, ...], ...]:
 def all_decreasing_top_expansions(a: int, t: int) -> list[list[int]]:
     """Every strictly-decreasing-tops representation of a in base t, found
     exhaustively; used to confirm the greedy expansion is the unique one."""
-    from math import comb
-
     results = []
 
     def rec(remaining, lower, last_top, acc):

@@ -23,8 +23,8 @@ from oseq.analysis import (
     compare_reference,
 )
 from oseq.cli import fetch_oeis, run
-from oseq.counting import CountCache, count_restricted, count_via_formula, two_variable_lex_count
-from oseq.enumerator import count_table, iter_all
+from oseq.counting import CountCache, count_restricted, count_via_formula
+from oseq.enumerator import count_table
 from oseq.lexseg import classify, decompose, exhaustive_count, sous_escalier
 
 from conftest import record_verdict
@@ -161,7 +161,7 @@ def test_criterion_6_property_suites_zero_violations(table60):
 def test_criterion_7_lex_segment_structure():
     problems = []
     for d in range(1, 11):
-        for h in iter_all(d):
+        for h in brute_sequences(d):
             a1 = h[1] if len(h) > 1 else 1
             for p in (a1, a1 + 1):
                 ideal = sous_escalier(h, p)
@@ -169,7 +169,7 @@ def test_criterion_7_lex_segment_structure():
                     problems.append(("closure", h, p))
     for p in (2, 3):
         for d in range(1, 9):
-            for h in iter_all(d):
+            for h in brute_sequences(d):
                 if len(h) > 1 and h[1] > p:
                     continue
                 ideal = sous_escalier(h, p)
@@ -210,7 +210,7 @@ def test_criterion_8_small_value_spot_checks(table60):
         direct = sum(
             1 for h in brute_sequences(d) if len(h) == 1 or h[1] <= 2
         )
-        if two_variable_lex_count(d) != direct:
+        if sum(count_restricted(2, d - 1, k, d) for k in range(d)) != direct:
             problems.append(f"two-variable count at d = {d}")
 
     _verdict(8, not problems)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from oseq import analysis
 from oseq.analysis import (
     RATIO_DECREASE_RANGE,
     REFERENCE_O_VALUES,
@@ -15,9 +16,9 @@ from oseq.analysis import (
     compare_reference,
     _last_gt1_buckets,
 )
-from oseq.enumerator import CountTable, count_table, iter_last_gt1
+from oseq.enumerator import CountTable, count_table
 
-from helpers import fibonacci_upto
+from helpers import fibonacci_upto, stem_walk
 
 
 class TestCountIdentities:
@@ -135,10 +136,19 @@ class TestCrossMethodSuites:
         assert report.passed
         assert report.suite == "bijection"
 
+    def test_window_bijection_catches_a_wrong_increment_rule(self, monkeypatch):
+        monkeypatch.setattr(analysis, "can_increment", lambda *a: True)
+        report = check_window_bijection(max_d=14)
+        assert {c.claim for c in report.failures()} == {
+            "increment children restore the d-1 extendable set"}
+
     @pytest.mark.parametrize("max_d", range(3, 25))
     def test_one_walk_buckets(self, max_d):
+        # the reference walk pushes whole stem tuples and shares no code
+        # with iter_stems, which the buckets are built from
         assert _last_gt1_buckets(max_d) == {
-            d: list(iter_last_gt1(d)) for d in range(3, max_d + 1)}
+            d: [stem for stem, rest in stem_walk(d) if not rest and stem[-1] > 1]
+            for d in range(3, max_d + 1)}
 
     def test_recursion(self, table20):
         report = check_recursion(table20)

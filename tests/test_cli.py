@@ -15,6 +15,7 @@ from oseq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     LEXSEG_MAX_SLOTS,
+    OEIS_BFILE_URL,
     default_cache_dir,
     fetch_oeis,
     parse_b_file,
@@ -203,7 +204,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("d", [24, 32, 40])
     def test_matches_tuple_walk(self, capsys, d):
         # the reference walk pushes whole stem tuples and shares no code
-        # with iter_nodes, which enumerate walks
+        # with iter_text, which enumerate writes
         stems = list(stem_walk(d))
         assert invoke(capsys, ["enumerate", str(d), "--all"]) == (
             EXIT_OK, joined(stem + (1,) * rest for stem, rest in stems), "")
@@ -437,7 +438,9 @@ class TestOeisCheck:
             ["oeis-check", "--max-d", "4", "--allow-network", "--cache-dir", cd],
         )
         assert code == EXIT_IO
-        assert err
+        # the copy on disk is at fault, not the URL it was once fetched from
+        assert str(tmp_path / "b232476.txt") in err and "line 1" in err
+        assert OEIS_BFILE_URL not in err
 
     def test_non_utf8_cached_file(self, capsys, monkeypatch, tmp_path):
         (tmp_path / "b232476.txt").write_bytes(b"1 1\n2 1\n3 \xff\n")

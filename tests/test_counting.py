@@ -11,15 +11,15 @@ from oseq.counting import (
     count_via_formula,
     load_cache,
     save_cache,
-    two_variable_lex_count,
 )
-from oseq.enumerator import count_table, iter_all
+from oseq.enumerator import count_table
 from oseq.lexseg import exhaustive_count
 
 from helpers import brute_sequences, full_grid_summands, two_variable_count
 
-# two_variable_lex_count(d) for d = 1..12, frozen from the constrained
-# enumeration oracle (all O-sequences with a_1 <= 2)
+# the recursion's two-variable count summed over prefix lengths, for
+# d = 1..12, frozen from the constrained enumeration oracle (all
+# O-sequences with a_1 <= 2)
 EXPECTED_TWO_VAR = [1, 1, 2, 2, 3, 4, 5, 6, 8, 10, 12, 15]
 
 
@@ -170,12 +170,13 @@ class TestTwoVariable:
         assert two_variable_count(3, 4, 20) == 0  # k > n
 
     def test_frozen_values(self):
-        assert [two_variable_lex_count(d) for d in range(1, 13)] == EXPECTED_TWO_VAR
+        assert [sum(count_restricted(2, d - 1, k, d) for k in range(d))
+                for d in range(1, 13)] == EXPECTED_TWO_VAR
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_matches_constrained_enumeration(self, d):
-        constrained = [seq for seq in iter_all(d) if len(seq) == 1 or seq[1] <= 2]
-        assert two_variable_lex_count(d) == len(constrained)
+        constrained = [seq for seq in brute_sequences(d) if len(seq) == 1 or seq[1] <= 2]
+        assert sum(count_restricted(2, d - 1, k, d) for k in range(d)) == len(constrained)
 
 
 class TestCountCache:

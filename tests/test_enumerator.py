@@ -3,8 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oseq.analysis import check_count_identities, check_sub_fibonacci
-from oseq.enumerator import (
-    count_table, iter_all, iter_last_gt1, iter_nodes, iter_stems, successors)
+from oseq.enumerator import can_increment, count_table, iter_nodes, iter_stems, iter_text
 from oseq.macaulay import growth_bound, is_o_sequence
 
 from helpers import brute_sequences, stem_walk
@@ -16,38 +15,48 @@ EXPECTED_O_1_20 = [1, 1, 2, 3, 5, 8, 12, 18, 27, 40,
 EXPECTED_A_1_6 = [0, 0, 1, 1, 2, 3]
 
 
+def lines(d, last_gt_1=False):
+    return "".join(iter_text(d, last_gt_1)).splitlines()
+
+
 class TestSuccessors:
+    """The two moves of count_table on a last-entry-above-1 sequence ending
+    (..., a_{s-1}, a_s): append 2 always, increment a_s when
+    ``can_increment(s, a_{s-1}, a_s)``."""
+
     def test_both_moves(self):
-        assert successors((1, 2)) == {2: (1, 2, 2), 1: (1, 3)}
-        assert successors((1, 2, 2)) == {2: (1, 2, 2, 2), 1: (1, 2, 3)}
+        assert can_increment(1, 1, 2)  # (1, 2) -> (1, 3)
+        assert can_increment(2, 2, 2)  # (1, 2, 2) -> (1, 2, 3)
 
     def test_blocked_increment(self):
         # 3 at position 2 already saturates growth_bound(2, 1) = 3
-        assert successors((1, 2, 3)) == {2: (1, 2, 3, 2)}
+        assert not can_increment(2, 2, 3)  # (1, 2, 3)
         # the growth bound out of value 2 at degree 2 is 2, so no increment
-        assert successors((1, 2, 2, 2)) == {2: (1, 2, 2, 2, 2)}
+        assert not can_increment(3, 2, 2)  # (1, 2, 2, 2)
 
     def test_length_two_is_unconstrained(self):
-        assert successors((1, 9)) == {2: (1, 9, 2), 1: (1, 10)}
-
-    def test_rejects_non_stems(self):
-        with pytest.raises(ValueError):
-            successors((1, 1))  # last entry not > 1
-        with pytest.raises(ValueError):
-            successors((2, 2))  # does not start at 1
-        with pytest.raises(ValueError):
-            successors((1,))
+        assert can_increment(1, 1, 9)  # (1, 9) -> (1, 10)
 
     @given(st.sampled_from([seq for d in range(3, 13)
                             for seq in brute_sequences(d) if seq[-1] > 1]))
     def test_children_are_valid(self, seq):
-        children = successors(seq)
-        assert set(children) <= {1, 2}
-        assert 2 in children
-        for delta, child in children.items():
+        children = [seq + (2,)]
+        if can_increment(len(seq) - 1, seq[-2], seq[-1]):
+            children.append(seq[:-1] + (seq[-1] + 1,))
+        for delta, child in zip((2, 1), children):
             assert is_o_sequence(child)
             assert sum(child) == sum(seq) + delta
             assert child[-1] > 1
+
+    @pytest.mark.parametrize("d", range(1, 13))
+    def test_increment_matches_brute_force(self, d):
+        # the oracle bounds growth by extension counting, not growth_bound
+        above = set(brute_sequences(d + 1))
+        for seq in brute_sequences(d):
+            if len(seq) < 2:
+                continue
+            grown = seq[:-1] + (seq[-1] + 1,)
+            assert can_increment(len(seq) - 1, seq[-2], seq[-1]) == (grown in above), seq
 
 
 class TestIterNodes:
@@ -77,50 +86,58 @@ class TestIterNodes:
 
 
 class TestIterLastGt1:
+    """The listing of ``enumerate d --last-gt-1``: ``iter_text(d, True)``."""
+
     def test_small_buckets(self):
-        assert list(iter_last_gt1(1)) == []
-        assert list(iter_last_gt1(2)) == []
-        assert list(iter_last_gt1(3)) == [(1, 2)]
-        assert list(iter_last_gt1(4)) == [(1, 3)]
-        assert list(iter_last_gt1(5)) == [(1, 2, 2), (1, 4)]
+        assert lines(1, True) == []
+        assert lines(2, True) == []
+        assert lines(3, True) == ["1,2"]
+        assert lines(4, True) == ["1,3"]
+        assert lines(5, True) == ["1,2,2", "1,4"]
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_matches_brute_filter(self, d):
-        expected = [seq for seq in brute_sequences(d) if seq[-1] > 1]
-        assert list(iter_last_gt1(d)) == expected
+        expected = [",".join(map(str, seq)) for seq in brute_sequences(d) if seq[-1] > 1]
+        assert lines(d, True) == expected
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            list(iter_last_gt1(0))
+            list(iter_text(0, True))
 
 
 class TestIterAll:
+    """The listing of ``enumerate d --all``: ``iter_text(d)``."""
+
     def test_d4(self):
-        assert list(iter_all(4)) == [(1, 1, 1, 1), (1, 2, 1), (1, 3)]
+        assert lines(4) == ["1,1,1,1", "1,2,1", "1,3"]
 
     def test_d6(self):
-        assert list(iter_all(6)) == [
-            (1, 1, 1, 1, 1, 1),
-            (1, 2, 1, 1, 1),
-            (1, 2, 2, 1),
-            (1, 2, 3),
-            (1, 3, 1, 1),
-            (1, 3, 2),
-            (1, 4, 1),
-            (1, 5),
+        assert lines(6) == [
+            "1,1,1,1,1,1",
+            "1,2,1,1,1",
+            "1,2,2,1",
+            "1,2,3",
+            "1,3,1,1",
+            "1,3,2",
+            "1,4,1",
+            "1,5",
         ]
 
     @pytest.mark.parametrize("d", range(1, 13))
     def test_matches_brute_filter(self, d):
-        got = list(iter_all(d))
+        got = [tuple(map(int, line.split(","))) for line in lines(d)]
         assert got == list(brute_sequences(d))
         assert got == sorted(got)
         assert len(set(got)) == len(got)
 
     @pytest.mark.parametrize("d", [40, 200])
     def test_lazy(self, d):
-        stream = iter_all(d)
-        assert next(stream) == (1,) * d
+        # the root line comes out before any block is built
+        growth_bound.cache_clear()
+        stream = iter_text(d)
+        assert next(stream) == ",".join(["1"] * d) + "\n"
+        info = growth_bound.cache_info()
+        assert info.hits + info.misses == 0
 
 
 class TestCountTable:
@@ -135,8 +152,8 @@ class TestCountTable:
             assert t.O[d] == t.O[d - 1] + t.A[d]
         # state counts against the depth-first listing: two separate paths
         for d in range(1, 23):
-            assert t.A[d] == len(list(iter_last_gt1(d)))
-            assert t.O[d] == len(list(iter_all(d)))
+            assert t.A[d] == len(lines(d, True))
+            assert t.O[d] == len(lines(d))
 
     def test_beyond_sixty(self, table60):
         t = count_table(100)

@@ -3,7 +3,6 @@ from itertools import islice
 import pytest
 
 from oseq.counting import count_restricted
-from oseq.enumerator import iter_all
 from oseq.lexseg import (
     Classification,
     OrderIdeal,
@@ -17,7 +16,7 @@ from oseq.lexseg import (
 )
 from oseq.macaulay import binomial
 
-from helpers import first_lex_terms
+from helpers import brute_sequences, first_lex_terms
 
 
 class TestTermOrder:
@@ -72,7 +71,7 @@ class TestSousEscalier:
     def test_degree_counts_round_trip_and_closure(self):
         # every O-sequence of multiplicity <= 10, seen in a_1 and a_1 + 1 vars
         for d in range(1, 11):
-            for h in iter_all(d):
+            for h in brute_sequences(d):
                 a1 = h[1] if len(h) > 1 else 1
                 for p in (a1, a1 + 1):
                     ideal = sous_escalier(h, p)
@@ -117,7 +116,7 @@ class TestDecompose:
 
     def test_multiplicity_additivity(self):
         for d in range(1, 10):
-            for h in iter_all(d):
+            for h in brute_sequences(d):
                 a1 = h[1] if len(h) > 1 else 1
                 p = max(a1, 2)
                 ideal = sous_escalier(h, p)
@@ -131,7 +130,7 @@ class TestDecompose:
         # reassembling them restores the original term set exactly
         for p in (2, 3):
             for d in range(1, 9):
-                for h in iter_all(d):
+                for h in brute_sequences(d):
                     if len(h) > 1 and h[1] > p:
                         continue
                     ideal = sous_escalier(h, p)
@@ -161,7 +160,7 @@ class TestDecompose:
         for p in (2, 3):
             for d in range(1, 9):
                 by_k: dict[int, int] = {}
-                for h in iter_all(d):
+                for h in brute_sequences(d):
                     if len(h) > 1 and h[1] > p:
                         continue
                     k = classify(sous_escalier(h, p)).max_prefix
