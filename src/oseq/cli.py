@@ -11,7 +11,6 @@ import csv
 import json
 import os
 import sys
-import urllib.request
 
 from . import analysis
 from .counting import (
@@ -105,6 +104,7 @@ def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tupl
     bad response raises BFileParseError and leaves no copy behind.  A copy
     on disk that is not UTF-8 or does not parse raises BFileParseError too.
     Every OSError or BFileParseError names the file or URL at fault."""
+    import urllib.request  # only a download needs it, and it is slow to import
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
     source = cached if os.path.exists(cached) else OEIS_BFILE_URL

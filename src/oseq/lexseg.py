@@ -11,6 +11,7 @@ last, otherwise that splitting property fails.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -173,8 +174,8 @@ def exhaustive_count(p: int, n: int, k: int, d: int) -> int:
     """Count by direct enumeration the O-sequences of multiplicity d from
     lex segments in p variables, socle degree <= n, prefix length exactly k.
 
-    Independent of the recursive formula: candidates are generated as
-    compositions of d and filtered.  Bounded to small parameters on purpose.
+    Independent of the recursive formula: a lookup into the tally that
+    ``_classes`` makes once per (p, d).  Bounded to small parameters on purpose.
     """
     if p > 4 or n > 8 or d > 12:
         raise ParameterTooLargeError(
@@ -183,23 +184,8 @@ def exhaustive_count(p: int, n: int, k: int, d: int) -> int:
         )
     if d < 1 or p < 1 or n < 0 or k < 0:
         return 0
-    total = 0
-    for seq in _admissible(n, d):
-        if _prefix_length(seq, p, d) == k:
-            total += 1
-    return total
-
-
-def _prefix_length(seq: tuple[int, ...], p: int, d: int) -> int | None:
-    """Exact maximal-growth prefix length of ``seq`` seen in p variables,
-    or None when some entry overflows the available terms."""
-    k = 0
-    while k + 1 < len(seq) and seq[k + 1] == binomial(p + k, k + 1, cap=d):
-        k += 1
-    for t in range(len(seq)):
-        if seq[t] > binomial(p - 1 + t, t, cap=d):
-            return None
-    return k
+    return sum(count for (socle, prefix), count in _classes(p, d).items()
+               if socle <= n and prefix == k)
 
 
 def _compositions(total: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -214,11 +200,24 @@ def _compositions(total: int, max_parts: int) -> Iterator[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _admissible(n: int, d: int) -> tuple[tuple[int, ...], ...]:
-    """All O-sequences of multiplicity d and socle degree <= n."""
-    out = []
-    for tail in _compositions(d - 1, n):
-        seq = (1,) + tail
-        if is_o_sequence(seq):
-            out.append(seq)
-    return tuple(out)
+def _admissible(d: int) -> tuple[tuple[int, ...], ...]:
+    """All O-sequences of multiplicity d and socle degree <= 8."""
+    seqs = ((1,) + tail for tail in _compositions(d - 1, 8))
+    return tuple(seq for seq in seqs if is_o_sequence(seq))
+
+
+@lru_cache(maxsize=None)
+def _classes(p: int, d: int) -> Counter[tuple[int, int]]:
+    """(socle degree, maximal-growth prefix length) -> how many members of
+    ``_admissible(d)`` fit under ceiling[t] = C(p - 1 + t, t), the number of
+    degree-t terms; the prefix is the run of entries equal to the ceiling."""
+    ceiling = [binomial(p - 1 + t, t, cap=d) for t in range(9)]
+    tally: Counter[tuple[int, int]] = Counter()
+    for seq in _admissible(d):
+        if any(v > c for v, c in zip(seq, ceiling)):
+            continue
+        k = 0
+        while k + 1 < len(seq) and seq[k + 1] == ceiling[k + 1]:
+            k += 1
+        tally[len(seq) - 1, k] += 1
+    return tally

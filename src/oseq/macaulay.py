@@ -78,8 +78,9 @@ def is_o_sequence(values: Iterable[int]) -> bool:
     seq = tuple(values)
     if not seq or seq[0] != 1:
         return False
-    if any(not isinstance(v, int) or v < 1 for v in seq):
-        return False
+    for v in seq:
+        if not isinstance(v, int) or v < 1:
+            return False
     for t in range(1, len(seq) - 1):
         if seq[t + 1] > growth_bound(seq[t], t):
             return False

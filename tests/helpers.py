@@ -9,7 +9,7 @@ from functools import lru_cache
 from math import comb
 
 from oseq.counting import _resolve
-from oseq.macaulay import growth_bound
+from oseq.macaulay import binomial, growth_bound, is_o_sequence
 
 
 def degree_terms(t: int, p: int) -> list[tuple[int, ...]]:
@@ -129,6 +129,32 @@ def full_grid_summands(key):
             if left != 0 and right != 0:
                 pairs.append((left, right))
     return pairs
+
+
+@lru_cache(maxsize=None)
+def _cellwise_candidates(n: int, d: int) -> tuple[tuple[int, ...], ...]:
+    seqs = ((1,) + tail for tail in compositions(d - 1, n))
+    return tuple(seq for seq in seqs if is_o_sequence(seq))
+
+
+def _cellwise_prefix(seq, p: int, d: int):
+    k = 0
+    while k + 1 < len(seq) and seq[k + 1] == binomial(p + k, k + 1, cap=d):
+        k += 1
+    if any(seq[t] > binomial(p - 1 + t, t, cap=d) for t in range(len(seq))):
+        return None
+    return k
+
+
+def cellwise_exhaustive_count(p: int, n: int, k: int, d: int) -> int:
+    """``lexseg.exhaustive_count`` by a filter of its own for every cell:
+    the O-sequences among the compositions of d with socle degree <= n,
+    each checked against the term counts in p variables and its prefix
+    length compared with k.  The reference for the tally that
+    ``lexseg._classes`` makes once per (p, d)."""
+    if d < 1 or p < 1 or n < 0 or k < 0:
+        return 0
+    return sum(_cellwise_prefix(seq, p, d) == k for seq in _cellwise_candidates(n, d))
 
 
 @lru_cache(maxsize=None)

@@ -142,6 +142,19 @@ class TestCrossMethodSuites:
         assert {c.claim for c in report.failures()} == {
             "increment children restore the d-1 extendable set"}
 
+    def test_oracle_catches_one_miscounted_cell(self, monkeypatch):
+        count_restricted = analysis.count_restricted
+
+        def off_by_one(p, n, k, d, cache=None):
+            return count_restricted(p, n, k, d, cache) + ((p, n, k, d) == (3, 5, 2, 7))
+
+        monkeypatch.setattr(analysis, "count_restricted", off_by_one)
+        want = count_restricted(3, 5, 2, 7)
+        report = check_oracle_grid(max_d=10)
+        assert [(c.d, c.claim, c.left) for c in report.failures()] == [
+            (7, "formula = exhaustive on p=3, n<=8, k<=4",
+             f"n=5 k=2: formula {want + 1}, exhaustive {want}")]
+
     @pytest.mark.parametrize("max_d", range(3, 25))
     def test_one_walk_buckets(self, max_d):
         # the reference walk pushes whole stem tuples and shares no code

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from oseq import cli, enumerator
+from oseq import analysis, cli, enumerator
 from oseq.cli import (
     BFileParseError,
     EXIT_IO,
@@ -24,7 +24,7 @@ from oseq.cli import (
 from oseq.enumerator import count_table
 from oseq.macaulay import growth_bound
 
-from helpers import brute_sequences, stem_walk
+from helpers import brute_sequences, cellwise_exhaustive_count, stem_walk
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).parent.parent / "src"
@@ -40,15 +40,19 @@ def joined(seqs) -> str:
     return "".join(",".join(map(str, seq)) + "\n" for seq in seqs)
 
 
+def child_env() -> dict[str, str]:
+    """The environment of a child Python process that imports ``oseq`` from SRC."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+
+
 def head_of_enumerate(d, lines, tmp_path):
     """The first ``lines`` lines of ``oseq enumerate d --all`` in a child
     process whose stdout pipe is then closed; its exit code and stderr."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     with open(tmp_path / "stderr", "wb") as err:
         proc = subprocess.Popen(
             [sys.executable, "-m", "oseq.cli", "enumerate", str(d), "--all"],
-            stdout=subprocess.PIPE, stderr=err, env=env)
+            stdout=subprocess.PIPE, stderr=err, env=child_env())
         try:
             first = [proc.stdout.readline() for _ in range(lines)]
             proc.stdout.close()
@@ -279,6 +283,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert "suite bijection" in out
 
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    @pytest.mark.parametrize("max_d", [1, 6, 10])
+    def test_oracle_matches_cellwise_filter(self, capsys, monkeypatch, max_d, fmt):
+        argv = ["verify", "--suite", "oracle", "--max-d", str(max_d), "--format", fmt]
+        got = invoke(capsys, argv)
+        monkeypatch.setattr(analysis, "exhaustive_count", cellwise_exhaustive_count)
+        assert got == invoke(capsys, argv)
+        assert got[0] == EXIT_OK
+
     def test_oracle_cap(self, capsys):
         assert invoke(capsys, ["verify", "--suite", "oracle", "--max-d", "13"])[0] == EXIT_USAGE
 
@@ -448,7 +461,7 @@ class TestOeisCheck:
         def offline(url, timeout):
             raise AssertionError("the cached copy must be used")
 
-        monkeypatch.setattr("oseq.cli.urllib.request.urlopen", offline)
+        monkeypatch.setattr("urllib.request.urlopen", offline)
         code, out, err = invoke(
             capsys,
             ["oeis-check", "--max-d", "4", "--allow-network", "--cache-dir", str(tmp_path)],
@@ -462,8 +475,15 @@ class TestOeisCheck:
 
 
 class TestFetchOeis:
+    def test_import_leaves_urllib_request_out(self):
+        # a child process: this one imported urllib.request long ago
+        probe = "import sys, oseq.cli; print('urllib.request' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
     def serve(self, monkeypatch, body):
-        monkeypatch.setattr("oseq.cli.urllib.request.urlopen",
+        monkeypatch.setattr("urllib.request.urlopen",
                             lambda url, timeout: io.BytesIO(body))
 
     @pytest.mark.parametrize("body", [b"<html>not a b-file</html>\n", b"1 1\n\xff\xfe 2\n"],

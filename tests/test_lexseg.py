@@ -16,7 +16,7 @@ from oseq.lexseg import (
 )
 from oseq.macaulay import binomial
 
-from helpers import brute_sequences, first_lex_terms
+from helpers import brute_sequences, cellwise_exhaustive_count, first_lex_terms
 
 
 class TestTermOrder:
@@ -179,6 +179,15 @@ class TestExhaustiveCount:
     def test_degenerate(self):
         assert exhaustive_count(2, 0, 0, 1) == 1
         assert exhaustive_count(2, 3, 1, 0) == 0
+
+    @pytest.mark.parametrize("d", range(-1, 13))
+    def test_matches_cellwise_filter(self, d):
+        # the whole allowed grid, with p, n and k below their domains too
+        for p in range(-1, 5):
+            for n in range(-1, 9):
+                for k in range(-1, 9):
+                    assert exhaustive_count(p, n, k, d) == cellwise_exhaustive_count(
+                        p, n, k, d), (p, n, k, d)
 
     def test_guard(self):
         with pytest.raises(ParameterTooLargeError):

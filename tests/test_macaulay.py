@@ -96,6 +96,7 @@ class TestIsOSequence:
         assert is_o_sequence((1, 3, 4, 5))
         assert is_o_sequence((1, 7))  # first step is unconstrained
         assert is_o_sequence([1, 2, 3])  # any sequence type
+        assert is_o_sequence((1, True))  # a bool is an int
 
     def test_rejected(self):
         assert not is_o_sequence(())
@@ -104,6 +105,7 @@ class TestIsOSequence:
         assert not is_o_sequence((1, 2, 4))  # 4 > growth_bound(2, 1) = 3
         assert not is_o_sequence((1, 2, 2, 4))  # 4 > growth_bound(2, 2) = 2 at the tail
         assert not is_o_sequence((1, 1.0, 1))  # non-integer entries
+        assert not is_o_sequence((1, False))
 
     @given(st.lists(st.integers(1, 6), min_size=0, max_size=5))
     def test_agrees_with_extension_oracle(self, tail):
