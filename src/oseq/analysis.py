@@ -305,9 +305,10 @@ def check_window_bijection(max_d: int) -> VerificationReport:
 
     The buckets come from the depth-first lister, which does not use the
     two moves, so the increment rule ``can_increment`` of the window is
-    checked against it."""
-    if max_d < 5:
-        raise ValueError(f"suite bijection needs max_d >= 5, got {max_d}")
+    checked against it.  The buckets hold every stem of mass up to max_d,
+    about 1.25 times more per unit of max_d, so max_d is capped at 40."""
+    if not 5 <= max_d <= 40:
+        raise ValueError(f"suite bijection needs 5 <= max_d <= 40 (stems in memory), got {max_d}")
     buckets = _last_gt1_buckets(max_d)
     report = VerificationReport(suite="bijection", lo=5, hi=max_d)
     for d in range(5, max_d + 1):

@@ -237,8 +237,9 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
     """Read a persisted cache, merging into ``into`` when given.
 
     A key already present must carry the same count, otherwise the merge
-    fails with CacheCorruptionError; malformed lines, and bytes that are
-    not ASCII, raise CacheFormatError.
+    fails with CacheCorruptionError; malformed lines, a key that _resolve
+    never returns (p >= 2 and 0 <= k <= n <= d - 1 hold for each), a
+    negative count and bytes that are not ASCII raise CacheFormatError.
     """
     cache = into if into is not None else CountCache()
     try:
@@ -255,9 +256,11 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
                     raise CacheFormatError(
                         f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
                 try:
-                    p, n, k, d, count = (int(f) for f in fields)
+                    p, n, k, d, count = map(int, fields)
                 except ValueError as exc:
                     raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
+                if count < 0 or p < 2 or not 0 <= k <= n < d:
+                    raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
                 try:
                     cache.insert((p, n, k, d), count)
                 except CacheCorruptionError as exc:

@@ -21,9 +21,9 @@ Listing does not use the two moves.  Since growth_bound(1, t) = 1 for
 t >= 1, an entry 1 after position 0 forces every later entry to be 1, so
 each O-sequence is a stem (1, a_1, ..., a_s) with every a_t >= 2, followed
 by trailing 1s.  A depth-first walk over the stems visits each O-sequence
-once, in lexicographic order.  Its stack holds, for each open node, an
-iterator over the entries still to try and that node's rest (the mass left
-for the trailing part); no stem is built.
+once, in lexicographic order.  Its stack holds, for each open node, the
+entries still to try, its rest (the mass left for the trailing part) and
+its stem: a tuple in iter_stems, the text of its line in iter_text.
 
 The subtree under a node (t, a_t, rest) depends only on those three numbers,
 and few of them are distinct (987 among the 25 674 nodes at d = 32).  So
@@ -77,44 +77,10 @@ def _entries(t: int, v: int, rest: int) -> range:
     return range(2, (rest if t == 0 else min(rest, growth_bound(v, t))) + 1)
 
 
-def iter_nodes(d: int) -> Iterator[tuple[int, int, int]]:
-    """(t, a_t, rest) for every stem (1, a_1, ..., a_t) of an O-sequence
-    stem + (1,) * rest of multiplicity d, in lexicographic order of the
-    sequences.  The root is (0, 1, d - 1).
-
-    The walk is a preorder: a node comes out before its children, and
-    after it only its own descendants come out until the walk leaves its
-    subtree.  So when a node of depth t comes out, the last node of depth
-    t - 1 yielded is its parent, and a caller can build each stem from its
-    parent's.  For d' <= d, the nodes of mass at most d' (mass d - rest)
-    are those of ``iter_nodes(d')``, in the same order.
-
-    Every entry after a_0 is at least 2, so a node whose rest is below 2
-    has no child: it gets no ``growth_bound`` lookup and no stack frame.
-    """
-    if d < 1:
-        raise ValueError(f"multiplicity must be positive, got {d}")
-    yield 0, 1, d - 1
-    # one frame per open node: its untried entries and its rest
-    stack = [(iter(_entries(0, 1, d - 1)), d - 1)] if d > 2 else []
-    while stack:
-        entries, rest = stack[-1]
-        t = len(stack)
-        for v in entries:
-            left = rest - v
-            yield t, v, left
-            if left >= 2:
-                # growth_bound(v, t) >= v >= 2, so the new frame is not empty
-                stack.append((iter(_entries(t, v, left)), left))
-                break
-        else:
-            stack.pop()
-
-
 def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
     """The text of ``oseq enumerate d``: one line per O-sequence of
     multiplicity d, its entries joined by commas, in the order of
-    ``iter_nodes(d)``; with ``last_gt_1`` only the lines of sequences whose
+    ``iter_stems(d)``; with ``last_gt_1`` only the lines of sequences whose
     last entry exceeds 1.  Yields chunks of whole lines.
 
     The lines under a node (t, v, rest), less the node's own stem text,
@@ -122,7 +88,7 @@ def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
     therefore built once per call as one block, memoized by that triple,
     from its children's blocks, each child's lines taking their entry in
     front through one ``str.replace``.  Larger subtrees are walked node by
-    node on an explicit stack, as in ``iter_nodes``; a node whose rest
+    node on an explicit stack, as in ``iter_stems``; a node whose rest
     allows a chain of more than BLOCK_LINES - 1 twos below it is refused at
     once.  The root line comes out before any block is built.  The memo
     lives only as long as the generator.
@@ -187,18 +153,32 @@ def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
 
 def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
     """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
-    in the order of ``iter_nodes(d)``: lexicographic order of the sequences,
-    and a preorder.  So for d' <= d, the stems of mass at most d' (mass
-    d - rest) are those of ``iter_stems(d')``, in the same order.
+    in lexicographic order of the sequences and as a preorder: a stem comes
+    out before its children, and after it only its own descendants until
+    the walk leaves its subtree.  So for d' <= d, the stems of mass at most
+    d' (mass d - rest) are those of ``iter_stems(d')``, in the same order.
 
-    Keeps one tuple per depth, each built from its parent's.
+    Every entry after a_0 is at least 2, so a stem whose rest is below 2
+    has no child, no ``growth_bound`` lookup and no stack frame.
     """
-    # a stem of mass <= d has depth at most (d - 1) // 2 < d
-    stems: list[Sequence] = [(1,)] * d
-    for t, v, rest in iter_nodes(d):
-        if t:
-            stems[t] = stems[t - 1] + (v,)
-        yield stems[t], rest
+    if d < 1:
+        raise ValueError(f"multiplicity must be positive, got {d}")
+    yield (1,), d - 1
+    # one frame per open stem: its untried entries, its rest and the stem
+    stack = [(iter(_entries(0, 1, d - 1)), d - 1, (1,))] if d > 2 else []
+    while stack:
+        entries, rest, stem = stack[-1]
+        t = len(stack)
+        for v in entries:
+            left = rest - v
+            child = stem + (v,)
+            yield child, left
+            if left >= 2:
+                # growth_bound(v, t) >= v >= 2, so the new frame is not empty
+                stack.append((iter(_entries(t, v, left)), left, child))
+                break
+        else:
+            stack.pop()
 
 
 def count_table(max_d: int) -> CountTable:

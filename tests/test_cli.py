@@ -176,6 +176,15 @@ class TestFormula:
         assert (code, out) == (EXIT_IO, "")
         assert str(cache) in err and "not an ASCII memo file" in err
 
+    @pytest.mark.parametrize("line", ["3,8,1,9,-5", "1,0,0,0,7"], ids=["count", "key"])
+    def test_out_of_range_cache_line(self, capsys, tmp_path, line):
+        cache = tmp_path / "memo.txt"
+        cache.write_text(f"# oseq-memo v1\n{line}\n")
+        code, out, err = invoke(capsys, ["formula", "3", "8", "1", "9", "--cache", str(cache)])
+        assert (code, out) == (EXIT_IO, "")
+        assert f"{cache}:2: " in err
+        assert cache.read_text() == f"# oseq-memo v1\n{line}\n"
+
     def test_negative_parameter(self, capsys):
         assert invoke(capsys, ["formula", "3", "8", "1", "-1"])[0] == EXIT_USAGE
 
@@ -218,7 +227,7 @@ class TestEnumerate:
     def test_one_lookup_per_block_state(self, capsys):
         # a block is built once per (t, a_t, rest), so the growth bound is
         # looked up once per distinct state, not once per node of mass
-        # <= d - 2 as in iter_nodes (15 682 at d = 32)
+        # <= d - 2 as in iter_stems (15 682 at d = 32)
         growth_bound.cache_clear()
         assert invoke(capsys, ["enumerate", "32", "--all"])[0] == EXIT_OK
         info = growth_bound.cache_info()
@@ -295,6 +304,17 @@ class TestVerify:
     def test_oracle_cap(self, capsys):
         assert invoke(capsys, ["verify", "--suite", "oracle", "--max-d", "13"])[0] == EXIT_USAGE
 
+    def test_bijection_cap(self, capsys, monkeypatch):
+        # the buckets keep every stem up to --max-d, so the cap is checked
+        # before the walk starts
+        def refuse(d):
+            raise AssertionError("walked")
+
+        monkeypatch.setattr(analysis, "iter_stems", refuse)
+        code, out, err = invoke(capsys, ["verify", "--suite", "bijection", "--max-d", "41"])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "suite bijection" in err and "max_d <= 40" in err and "got 41" in err
+
     @pytest.mark.parametrize(
         "suite, max_d, bound",
         [
@@ -303,7 +323,7 @@ class TestVerify:
             pytest.param("ratios", 5, "d = 6", id="ratios"),
             pytest.param("table", 0, "positive", id="table"),
             pytest.param("oracle", 0, "1 <= max_d", id="oracle"),
-            pytest.param("bijection", 4, "max_d >= 5", id="bijection"),
+            pytest.param("bijection", 4, "5 <= max_d <= 40", id="bijection"),
             pytest.param("recursion", 0, "positive", id="recursion"),
         ],
     )

@@ -237,7 +237,7 @@ class TestCachePersistence:
         path = tmp_path / "memo.cache"
         path.write_text("# oseq-memo v1\n2,3,1,5,7\n")
         cache = load_cache(str(path))
-        path.write_text("# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,8\n")
+        path.write_text("# oseq-memo v1\n2,1,0,2,1\n2,3,1,5,8\n")
         with pytest.raises(CacheCorruptionError, match=re.escape(f"{path}:3: ")):
             load_cache(str(path), into=cache)
         assert cache.entries[(2, 3, 1, 5)] == 7
@@ -258,6 +258,16 @@ class TestCachePersistence:
         path = tmp_path / "memo.cache"
         path.write_text("# oseq-memo v1\n1,2,x,2,1\n")
         with pytest.raises(CacheFormatError):
+            load_cache(str(path))
+
+    @pytest.mark.parametrize("line", ["3,8,1,9,-5", "1,0,0,0,7", "1,2,1,3,7", "2,3,1,3,7",
+                                      "2,2,3,5,7", "2,-1,-1,5,7", "3,1,-1,5,7"])
+    def test_line_the_recursion_never_stores(self, tmp_path, line):
+        # counts are never negative, and every stored key has p >= 2 and
+        # 0 <= k <= n <= d - 1
+        path = tmp_path / "memo.cache"
+        path.write_text(f"# oseq-memo v1\n2,1,0,2,1\n{line}\n")
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:3: ")):
             load_cache(str(path))
 
     def test_non_ascii_byte(self, tmp_path):

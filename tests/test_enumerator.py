@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oseq.analysis import check_count_identities, check_sub_fibonacci
-from oseq.enumerator import can_increment, count_table, iter_nodes, iter_stems, iter_text
+from oseq.enumerator import can_increment, count_table, iter_stems, iter_text
 from oseq.macaulay import growth_bound, is_o_sequence
 
 from helpers import brute_sequences, stem_walk
@@ -60,11 +60,13 @@ class TestSuccessors:
 
 
 class TestIterNodes:
+    """The depth-first stem walk: ``iter_stems``."""
+
     def test_d6(self):
         # 1,1,1,1,1,1 / 1,2,1,1,1 / 1,2,2,1 / 1,2,3 / 1,3,1,1 / 1,3,2 / 1,4,1 / 1,5
-        assert list(iter_nodes(6)) == [
-            (0, 1, 5), (1, 2, 3), (2, 2, 1), (2, 3, 0),
-            (1, 3, 2), (2, 2, 0), (1, 4, 1), (1, 5, 0)]
+        assert list(iter_stems(6)) == [
+            ((1,), 5), ((1, 2), 3), ((1, 2, 2), 1), ((1, 2, 3), 0),
+            ((1, 3), 2), ((1, 3, 2), 0), ((1, 4), 1), ((1, 5), 0)]
 
     @pytest.mark.parametrize("d", range(1, 27))
     def test_stems_match_tuple_walk(self, d):
@@ -72,17 +74,17 @@ class TestIterNodes:
 
     @pytest.mark.parametrize("d", [24, 32])
     def test_no_lookup_at_leaves(self, d):
-        # a node with rest < 2 has no child, so only the nodes of mass at
+        # a stem with rest < 2 has no child, so only the stems of mass at
         # most d - 2 other than the root look up their growth bound
         growth_bound.cache_clear()
-        for _ in iter_nodes(d):
+        for _ in iter_stems(d):
             pass
         info = growth_bound.cache_info()
         assert info.hits + info.misses == count_table(d).O[d - 2] - 1
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            next(iter_nodes(0))
+            next(iter_stems(0))
 
 
 class TestIterLastGt1:
