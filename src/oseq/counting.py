@@ -37,8 +37,9 @@ class CountCache:
     """Memo store mapping (p, n, k, d) to a count, with idempotent insertion.
 
     ``insert`` is the one place a key is stored or a conflict refused.
-    ``hits`` counts lookups of keys already stored (top-level queries and
-    summand reads during expansion); ``misses`` counts keys that had to be
+    ``hits`` counts reads of stored keys: a top-level query found stored,
+    and each factor a key's sum reads (the right factor of a left factor
+    that counts 0 is never read); ``misses`` counts keys that had to be
     expanded.  A loaded file and a warm second run therefore show zero misses.
     """
 
@@ -58,34 +59,33 @@ class CountCache:
         if old != count:
             raise CacheCorruptionError(f"key {key} already maps to {old}, refusing to store {count}")
 
-    def read(self, key: Key) -> int:
-        self.hits += 1
-        return self.entries[key]
 
-
-def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
-    """Settle a query immediately or return its normalized memo key.
-
-    Emptiness guards: no such object when k exceeds the socle bound, when
-    the forced prefix alone exceeds the multiplicity, or when any parameter
-    leaves its domain.  Normalization (n capped at d - 1; p capped at d
-    when k = 0, since at most d - 1 of the p variables can appear) keeps
-    the memo small without changing any stored fact.
-    """
-    if d <= 0 or p < 1 or n < 0 or k < 0:
-        return 0
-    if k > n:
-        return 0
-    # the forced prefix sums to C(p-1+i, i) over i <= k, which is C(p+k, k)
-    if binomial(p + k, k, cap=d) > d:
-        return 0
-    n = min(n, d - 1)
+def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
+    """Settle a cell inside the domain (k <= n included) and the prefix-mass
+    guard, or return its memo key.  Capping n at d - 1, and p at d when
+    k = 0 (at most d - 1 of the p variables can appear), keeps the memo
+    small without changing any stored fact."""
+    if n >= d:
+        n = d - 1
     if k == 0 and p > d:
         p = d
     if p == 1:
         # one variable: the sequence is (1, 1, ..., 1), all growth maximal
         return 1 if (k == d - 1 and n >= d - 1) else 0
     return (p, n, k, d)
+
+
+def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
+    """Settle a query immediately or return its normalized memo key: no such
+    object when any parameter leaves its domain, k exceeds the socle bound
+    or the forced prefix alone exceeds the multiplicity, else as
+    ``_normalize`` decides."""
+    if d <= 0 or p < 1 or n < 0 or k < 0 or k > n:
+        return 0
+    # the forced prefix sums to C(p-1+i, i) over i <= k, which is C(p+k, k)
+    if binomial(p + k, k, cap=d) > d:
+        return 0
+    return _normalize(p, n, k, d)
 
 
 def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
@@ -98,55 +98,48 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
     length i >= k, paired with a multiplicity-j part in p variables with
     socle degree <= i - 1 and prefix length k - 1.
 
-    The loops visit only cells that can pass the prefix-mass guard of
-    ``_resolve``; it still decides every visited cell.  A part in q
-    variables with prefix length i has forced mass C(q + i, i), which
-    grows with i, so each bound is a first failure after which all fail:
+    The loop bounds imply every test of ``_resolve``, so each visited cell
+    goes to ``_normalize`` alone.  A part in q variables with prefix length
+    i has forced mass C(q + i, i), which grows with i, so each bound is a
+    first failure after which all fail:
 
-    - k = 0: stop at the first kk with C(p - 1 + kk, kk) > d.
-    - j: start at the right factor's prefix mass C(p + k - 1, k - 1), and
-      end at d - C(p - 1 + k, k), past which even the left factor's
-      smallest prefix mass (i = k) exceeds d - j.
-    - i: stop at the first i with C(p - 1 + i, i) > d - j.
+    - k = 0: C(p - 1 + kk, kk) <= d.
+    - j: from the right factor's mass lo = C(p + k - 1, k - 1) <= j to
+      d - C(p - 1 + k, k), past which even the left factor's smallest mass
+      (i = k) exceeds d - j.
+    - i: the left factor's mass C(p - 1 + i, i) <= d - j.
 
-    For p = 2 the left factor lives in one variable, where the only
-    sequence is all ones and ``_resolve`` keeps a prefix length only when
-    it is the multiplicity less one.  So the k = 0 loop visits only
-    kk = d - 1, and the i loop only i = d - j - 1, which the j bound keeps
-    at or above k.
+    The rest of the domain holds too (kk <= n, i <= n, k - 1 <= i - 1), and
+    every visited cell is nonzero: for p = 2 the one-variable left factor,
+    all ones, is visited only at its single nonzero cell, kk = d - 1 or
+    i = d - j - 1 (the j bound keeps it >= k).  Masses run as products
+    C(p - 2 + i, i - 1) * (p - 1 + i) / i from one capped binomial; a
+    capped value ends its loop before any product.
     """
     p, n, k, d = key
     pairs: list[tuple[int | Key, int | Key]] = []
     if k == 0:
-        for kk in range(d - 1 if p == 2 else 0, n + 1):
-            if binomial(p - 1 + kk, kk, cap=d) > d:
-                break
-            left = _resolve(p - 1, n, kk, d)
-            if left != 0:
-                pairs.append((left, 1))
+        kk = d - 1 if p == 2 else 0
+        mass = binomial(p - 1 + kk, kk, cap=d)
+        while kk <= n and mass <= d:
+            pairs.append((_normalize(p - 1, n, kk, d), 1))
+            kk += 1
+            mass = mass * (p - 1 + kk) // kk
         return pairs
     lo = binomial(p + k - 1, k - 1, cap=d)
-    # masses[i - k] = C(p - 1 + i, i): the left factor's forced prefix mass
+    # masses[i - k] = C(p - 1 + i, i): the left factor's forced prefix mass;
+    # never empty, as C(p - 1 + k, k) + lo = C(p + k, k) <= d
     masses = []
-    for i in range(k, n + 1):
-        mass = binomial(p - 1 + i, i, cap=d)
-        if mass > d - lo:
-            break
+    i, mass = k, binomial(p - 1 + k, k, cap=d)
+    while i <= n and mass <= d - lo:
         masses.append(mass)
-    if not masses:
-        return pairs
-    stop = k + len(masses)
+        i += 1
+        mass = mass * (p - 1 + i) // i
     for j in range(lo, d - masses[0] + 1):
-        for i in range(d - j - 1 if p == 2 else k, stop):
-            if masses[i - k] > d - j:
-                break
-            left = _resolve(p - 1, n, i, d - j)
-            if left == 0:
-                continue
-            right = _resolve(p, i - 1, k - 1, j)
-            if right == 0:
-                continue
-            pairs.append((left, right))
+        while masses[-1] > d - j:
+            masses.pop()
+        for i in range(d - j - 1 if p == 2 else k, k + len(masses)):
+            pairs.append((_normalize(p - 1, n, i, d - j), _normalize(p, i - 1, k - 1, j)))
     return pairs
 
 
@@ -154,31 +147,37 @@ def _ensure(key: Key, cache: CountCache) -> None:
     """Compute ``key`` into ``cache`` in one post-order walk.
 
     Depth grows with p + d, so the walk keeps an explicit stack of frames
-    (a key, its summands derived once on push, a cursor over their factor
-    keys).  A frame descends into its next uncached factor, else is popped
-    and its sum stored.  No key depends on itself, so each is pushed once.
+    (a key, its summands derived once on push, the index of the first pair
+    not yet seen cached).  A frame descends into its next uncached factor,
+    else is popped, its sum stored and its reads added to ``hits`` at once.
+    No key depends on itself, so each is pushed once.
     """
-    def frame(top: Key):
-        pairs = _summands(top)
-        return top, pairs, (f for pair in pairs for f in pair if isinstance(f, tuple))
-
-    stack = [frame(key)]
+    entries = cache.entries
+    stack = [(key, _summands(key), 0)]
     while stack:
-        top, pairs, factors = stack[-1]
-        missing = next((f for f in factors if f not in cache), None)
-        if missing is not None:
-            stack.append(frame(missing))
-            continue
-        total = 0
-        for left, right in pairs:
-            lv = cache.read(left) if isinstance(left, tuple) else left
-            if lv == 0:
-                continue
-            rv = cache.read(right) if isinstance(right, tuple) else right
-            total += lv * rv
-        cache.insert(top, total)
-        cache.misses += 1
-        stack.pop()
+        top, pairs, cursor = stack.pop()
+        while cursor < len(pairs):
+            left, right = pairs[cursor]
+            missing = left if isinstance(left, tuple) and left not in entries else right
+            if isinstance(missing, tuple) and missing not in entries:
+                stack.append((top, pairs, cursor))
+                stack.append((missing, _summands(missing), 0))
+                break
+            cursor += 1
+        else:
+            total = reads = 0
+            for left, right in pairs:
+                if isinstance(left, tuple):
+                    reads += 1
+                    left = entries[left]
+                if left:
+                    if isinstance(right, tuple):
+                        reads += 1
+                        right = entries[right]
+                    total += left * right
+            cache.hits += reads
+            cache.insert(top, total)
+            cache.misses += 1
 
 
 def count_restricted(p: int, n: int, k: int, d: int, cache: CountCache | None = None) -> int:
@@ -189,8 +188,9 @@ def count_restricted(p: int, n: int, k: int, d: int, cache: CountCache | None = 
         return settled
     cache = cache if cache is not None else CountCache()
     if settled in cache:
-        return cache.read(settled)
-    _ensure(settled, cache)
+        cache.hits += 1
+    else:
+        _ensure(settled, cache)
     return cache.entries[settled]
 
 

@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oseq import counting
 from oseq.counting import (
@@ -101,15 +103,16 @@ class TestCountViaFormula:
         assert len(expanded) == len(cache) == cache.misses
 
 
-def _count_resolve_calls(monkeypatch):
+def _count_normalize_calls(monkeypatch):
+    # every cell, visited by _summands or settled by _resolve, ends in _normalize
     calls = [0]
-    resolve = counting._resolve
+    normalize = counting._normalize
 
     def counted(*args):
         calls[0] += 1
-        return resolve(*args)
+        return normalize(*args)
 
-    monkeypatch.setattr(counting, "_resolve", counted)
+    monkeypatch.setattr(counting, "_normalize", counted)
     return calls
 
 
@@ -118,30 +121,37 @@ class TestSummandBounds:
         keys = {counting._resolve(p, n, k, d)
                 for p in range(1, 7) for d in range(1, 21)
                 for n in range(d + 1) for k in range(n + 1)}
-        keys = sorted(key for key in keys if isinstance(key, tuple))
+        keys = {key for key in keys if isinstance(key, tuple)}
         assert len(keys) > 2000
-        for key in keys:
+        # the keys a cold O_24 expands, up to p = 24
+        cache = CountCache()
+        count_via_formula(24, cache)
+        assert len(cache) == 927
+        for key in sorted(keys | set(cache.entries)):
             assert counting._summands(key) == full_grid_summands(key), key
 
     def test_cold_total_visits_few_cells(self, monkeypatch):
-        calls = _count_resolve_calls(monkeypatch)
+        calls = _count_normalize_calls(monkeypatch)
         assert count_via_formula(17) == 428
         # 2 540, every one nonzero; 4 290 when a one-variable left factor
         # was scanned over its whole i range, 25 966 for the full (j, i) grid
-        assert calls[0] <= 2_600
+        assert 2_000 < calls[0] <= 2_600
 
     def test_one_variable_left_factor_visited_once(self, monkeypatch):
-        zeros = []
-        resolve = counting._resolve
+        cells, zeros = [], []
+        normalize = counting._normalize
 
         def watched(*args):
-            value = resolve(*args)
-            if args[0] == 1 and value == 0:
-                zeros.append(args)
+            value = normalize(*args)
+            if args[0] == 1:
+                cells.append(args)
+                if value == 0:
+                    zeros.append(args)
             return value
 
-        monkeypatch.setattr(counting, "_resolve", watched)
+        monkeypatch.setattr(counting, "_normalize", watched)
         assert count_via_formula(40) == 164347
+        assert len(cells) >= 1  # 8 716
         assert zeros == []  # 88 584 when every i of such a factor was visited
 
     def test_cold_stats_unchanged(self):
@@ -149,10 +159,36 @@ class TestSummandBounds:
         count_via_formula(17, cache)
         assert (len(cache), cache.hits, cache.misses) == (383, 1923, 383)
 
+    @pytest.mark.parametrize("d, value, stats", [
+        (24, 3279, (927, 6846, 927)),
+        (40, 164347, (3312, 42350, 3312)),
+        (60, 9469536, (8923, 173761, 8923)),
+    ])
+    def test_cold_accounting_pinned(self, d, value, stats):
+        # hits count every stored factor read, less the right factor of a
+        # left factor that counts 0, which the sum never reads
+        cache = CountCache()
+        assert count_via_formula(d, cache) == value
+        assert (len(cache), cache.hits, cache.misses) == stats
+
     def test_long_chain_visits_few_cells(self, monkeypatch):
-        calls = _count_resolve_calls(monkeypatch)
+        calls = _count_normalize_calls(monkeypatch)
         assert count_restricted(99, 98, 1, 100) == 1
-        assert calls[0] <= 400  # the full (j, i) grid makes 328 349
+        # 197; the full (j, i) grid makes 328 349
+        assert 10 <= calls[0] <= 400
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 8), st.integers(-1, 25),
+                          st.integers(-1, 25), st.integers(0, 24)),
+                min_size=1, max_size=12))
+def test_answers_do_not_depend_on_what_is_cached(queries):
+    shared, union = CountCache(), {}
+    for query in queries:
+        fresh = CountCache()
+        assert count_restricted(*query, shared) == count_restricted(*query, fresh), query
+        union.update(fresh.entries)
+    assert shared.entries == union
 
 
 class TestTwoVariable:
