@@ -11,6 +11,18 @@ of two smaller ones.
 The total count of O-sequences of multiplicity d is the restricted count
 in d variables with prefix length 0 and unbounded socle degree (n = d - 1
 suffices: multiplicity d forces s <= d - 1).
+
+Emptiness rule: for 0 <= k <= n, count_restricted(p, n, k, d) > 0 exactly
+when C(p + k, k) <= d <= U(p, n, k), where
+U(p, n, k) = C(p + n, n) - C(p + n - k - 1, p) is the number of terms of
+degree <= n in p variables in which x_p has exponent <= k (for k = n: d =
+C(p + k, k)).  The forced prefix has mass C(p + k, k).  Past it,
+a_{k+1} <= C(p + k, k + 1) - 1, and by Macaulay's theorem each later entry
+is at most the maximal growth from that value, the degree-t terms that
+x_p^(k+1) does not divide; summed to degree n this is U(p, n, k), and it is
+attained.  Lowering the last nonzero entry of that largest sequence one
+step at a time keeps an O-sequence with the same prefix, so every d down
+to C(p + k, k) occurs.  The recursion creates only nonempty keys.
 """
 from __future__ import annotations
 
@@ -38,9 +50,9 @@ class CountCache:
 
     ``insert`` is the one place a key is stored or a conflict refused.
     ``hits`` counts reads of stored keys: a top-level query found stored,
-    and each factor a key's sum reads (the right factor of a left factor
-    that counts 0 is never read); ``misses`` counts keys that had to be
-    expanded.  A loaded file and a warm second run therefore show zero misses.
+    and each factor a key's sum reads; ``misses`` counts keys that had to be
+    expanded.  A loaded file and a warm second run therefore show zero
+    misses.  Every stored count is positive.
     """
 
     entries: dict[Key, int] = field(default_factory=dict)
@@ -61,8 +73,8 @@ class CountCache:
 
 
 def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
-    """Settle a cell inside the domain (k <= n included) and the prefix-mass
-    guard, or return its memo key.  Capping n at d - 1, and p at d when
+    """Settle a cell that passes the domain, prefix-mass and room tests of
+    ``_resolve``, or return its memo key.  Capping n at d - 1, and p at d when
     k = 0 (at most d - 1 of the p variables can appear), keeps the memo
     small without changing any stored fact."""
     if n >= d:
@@ -75,15 +87,30 @@ def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
     return (p, n, k, d)
 
 
+def _room(p: int, n: int, k: int, d: int) -> tuple[int, int]:
+    """(full, spare) with full - spare = U(p, n, k), the number of terms of
+    degree <= n in p variables in which x_p has exponent <= k: full =
+    C(p + n, n) counts them all and spare = C(p + n - k - 1, p) those that
+    x_p^(k + 1) divides.  When the terms free of x_p, C(p - 1 + n, n) of
+    them, already reach d, the room never binds and (d, 0) stands in, so
+    no value above about n * d is ever formed."""
+    if binomial(p - 1 + n, n, cap=d) >= d:
+        return d, 0
+    return binomial(p + n, n), binomial(p + n - k - 1, p)
+
+
 def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
     """Settle a query immediately or return its normalized memo key: no such
-    object when any parameter leaves its domain, k exceeds the socle bound
-    or the forced prefix alone exceeds the multiplicity, else as
-    ``_normalize`` decides."""
+    object when any parameter leaves its domain, k exceeds the socle bound,
+    the forced prefix alone exceeds the multiplicity or d exceeds the room
+    U(p, n, k), else as ``_normalize`` decides."""
     if d <= 0 or p < 1 or n < 0 or k < 0 or k > n:
         return 0
     # the forced prefix sums to C(p-1+i, i) over i <= k, which is C(p+k, k)
     if binomial(p + k, k, cap=d) > d:
+        return 0
+    full, spare = _room(p, n, k, d)
+    if full - spare < d:
         return 0
     return _normalize(p, n, k, d)
 
@@ -98,49 +125,53 @@ def _summands(key: Key) -> list[tuple[int | Key, int | Key]]:
     length i >= k, paired with a multiplicity-j part in p variables with
     socle degree <= i - 1 and prefix length k - 1.
 
-    The loop bounds imply every test of ``_resolve``, so each visited cell
-    goes to ``_normalize`` alone.  A part in q variables with prefix length
-    i has forced mass C(q + i, i), which grows with i, so each bound is a
-    first failure after which all fail:
+    The loop bounds are the emptiness rule of the module docstring, so each
+    visited cell is nonzero and goes to ``_normalize`` alone.  A part in q
+    variables, socle degree <= m and prefix length i is nonempty exactly
+    when its forced mass C(q + i, i) <= its multiplicity <= U(q, m, i);
+    both grow with i.  So the k = 0 loop runs over the kk with
+    U(p - 1, n, kk) >= d and C(p - 1 + kk, kk) <= d, and for k > 0 each i
+    from k, while the left factor's mass leaves room for the right one's,
+    takes the j with
 
-    - k = 0: C(p - 1 + kk, kk) <= d.
-    - j: from the right factor's mass lo = C(p + k - 1, k - 1) <= j to
-      d - C(p - 1 + k, k), past which even the left factor's smallest mass
-      (i = k) exceeds d - j.
-    - i: the left factor's mass C(p - 1 + i, i) <= d - j.
+    - lo = C(p + k - 1, k - 1) <= j <= U(p, i - 1, k - 1)  (right factor),
+    - C(p - 1 + i, i) <= d - j <= U(p - 1, n, i)  (left factor).
 
-    The rest of the domain holds too (kk <= n, i <= n, k - 1 <= i - 1), and
-    every visited cell is nonzero: for p = 2 the one-variable left factor,
-    all ones, is visited only at its single nonzero cell, kk = d - 1 or
-    i = d - j - 1 (the j bound keeps it >= k).  Masses run as products
-    C(p - 2 + i, i - 1) * (p - 1 + i) / i from one capped binomial; a
-    capped value ends its loop before any product.
+    The rest of the domain holds too (kk <= n, i <= n, k - 1 <= i - 1).
+    Masses and rooms run as exact products from their values at the first
+    kk or i: a capped mass ends its loop before any product, and ``_room``
+    keeps the left room small.
     """
     p, n, k, d = key
     pairs: list[tuple[int | Key, int | Key]] = []
+    # left room U(p - 1, n, i) = full - spare, spare = C(p - 2 + n - i, p - 1)
+    full, spare = _room(p - 1, n, k, d)
     if k == 0:
-        kk = d - 1 if p == 2 else 0
-        mass = binomial(p - 1 + kk, kk, cap=d)
-        while kk <= n and mass <= d:
-            pairs.append((_normalize(p - 1, n, kk, d), 1))
+        kk, mass = 0, 1
+        while True:
+            if full - spare >= d:
+                pairs.append((_normalize(p - 1, n, kk, d), 1))
             kk += 1
             mass = mass * (p - 1 + kk) // kk
-        return pairs
+            if kk > n or mass > d:
+                return pairs
+            spare = spare * (n - kk) // (p - 1 + n - kk)
     lo = binomial(p + k - 1, k - 1, cap=d)
-    # masses[i - k] = C(p - 1 + i, i): the left factor's forced prefix mass;
-    # never empty, as C(p - 1 + k, k) + lo = C(p + k, k) <= d
-    masses = []
+    # right room U(p, i - 1, k - 1) = big - small with big = C(p + i - 1, p),
+    # small = C(p + i - 1 - k, p) and after = C(p + i - k, p), its next value;
+    # the first mass is never too big, as C(p - 1 + k, k) + lo = C(p + k, k) <= d
     i, mass = k, binomial(p - 1 + k, k, cap=d)
-    while i <= n and mass <= d - lo:
-        masses.append(mass)
+    big, small, after = lo, 0, 1
+    while True:
+        for j in range(max(lo, d - full + spare), min(d - mass, big - small) + 1):
+            pairs.append((_normalize(p - 1, n, i, d - j), _normalize(p, i - 1, k - 1, j)))
         i += 1
         mass = mass * (p - 1 + i) // i
-    for j in range(lo, d - masses[0] + 1):
-        while masses[-1] > d - j:
-            masses.pop()
-        for i in range(d - j - 1 if p == 2 else k, k + len(masses)):
-            pairs.append((_normalize(p - 1, n, i, d - j), _normalize(p, i - 1, k - 1, j)))
-    return pairs
+        if i > n or mass > d - lo:
+            return pairs
+        spare = spare * (n - i) // (p - 1 + n - i)
+        big = big * (p + i - 1) // (i - 1)
+        small, after = after, after * (p + i - k) // (i - k)
 
 
 def _ensure(key: Key, cache: CountCache) -> None:
@@ -170,11 +201,10 @@ def _ensure(key: Key, cache: CountCache) -> None:
                 if isinstance(left, tuple):
                     reads += 1
                     left = entries[left]
-                if left:
-                    if isinstance(right, tuple):
-                        reads += 1
-                        right = entries[right]
-                    total += left * right
+                if isinstance(right, tuple):
+                    reads += 1
+                    right = entries[right]
+                total += left * right
             cache.hits += reads
             cache.insert(top, total)
             cache.misses += 1
@@ -240,6 +270,8 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
     fails with CacheCorruptionError; malformed lines, a key that _resolve
     never returns (p >= 2 and 0 <= k <= n <= d - 1 hold for each), a
     negative count and bytes that are not ASCII raise CacheFormatError.
+    A count of 0, which earlier versions stored for empty keys, is skipped:
+    ``_resolve`` settles every such key, so none is ever read.
     """
     cache = into if into is not None else CountCache()
     try:
@@ -261,6 +293,8 @@ def load_cache(path: str, into: CountCache | None = None) -> CountCache:
                     raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
                 if count < 0 or p < 2 or not 0 <= k <= n < d:
                     raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
+                if not count:
+                    continue
                 try:
                     cache.insert((p, n, k, d), count)
                 except CacheCorruptionError as exc:

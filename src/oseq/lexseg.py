@@ -1,4 +1,4 @@
-"""Sous-escaliers of lex-segment ideals: construction, decomposition, classification.
+"""Sous-escaliers of lex-segment ideals: construction, decomposition, exhaustive counts.
 
 Terms in p variables are exponent tuples (e_1, ..., e_p).  The monomial
 order is lexicographic with x_1 < x_2 < ... < x_p and the highest variable
@@ -15,7 +15,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .macaulay import binomial, is_o_sequence
 
@@ -24,12 +24,6 @@ Term = tuple[int, ...]
 
 class ParameterTooLargeError(Exception):
     """Exhaustive search was asked for a range it cannot cover quickly."""
-
-
-class Classification(NamedTuple):
-    socle_degree: int
-    max_prefix: int
-    multiplicity: int
 
 
 def lex_key(term: Term) -> Term:
@@ -147,27 +141,6 @@ def decompose(ideal: OrderIdeal) -> tuple[OrderIdeal, OrderIdeal]:
     m1 = frozenset(t[:-1] for t in ideal.terms if t[-1] == 0)
     m2 = frozenset(t[:-1] + (t[-1] - 1,) for t in ideal.terms if t[-1] > 0)
     return OrderIdeal(p=ideal.p - 1, terms=m1), OrderIdeal(p=ideal.p, terms=m2)
-
-
-def classify(ideal: OrderIdeal) -> Classification:
-    """Socle degree, maximal-growth prefix length and multiplicity.
-
-    The prefix length is the largest k with degree counts equal to
-    C(p - 1 + i, i) for all i <= k, i.e. the degrees filled completely.
-    """
-    if not ideal.terms:
-        raise ValueError("cannot classify the empty set")
-    counts = ideal.degree_counts
-    if counts[0] != 1:
-        raise ValueError("classification expects the unit term present")
-    k = 0
-    while k + 1 < len(counts) and counts[k + 1] == binomial(ideal.p + k, k + 1):
-        k += 1
-    return Classification(
-        socle_degree=ideal.socle_degree,
-        max_prefix=k,
-        multiplicity=ideal.multiplicity,
-    )
 
 
 def exhaustive_count(p: int, n: int, k: int, d: int) -> int:

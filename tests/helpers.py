@@ -7,8 +7,10 @@ sets, never by binomial expansion.
 """
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from oseq.counting import _resolve
+from oseq.lexseg import OrderIdeal
 from oseq.macaulay import binomial, growth_bound, is_o_sequence
 
 
@@ -111,7 +113,7 @@ def first_lex_terms(t: int, p: int, count: int) -> list[tuple[int, ...]]:
 
 
 def full_grid_summands(key):
-    """Factor pairs of a memo key by the unbounded scan: every (j, i) cell,
+    """Factor pairs of a memo key by the unbounded scan: every (i, j) cell,
     each settled by ``counting._resolve``.  The reference for the loop
     bounds of ``counting._summands``, which must keep exactly these pairs."""
     p, n, k, d = key
@@ -122,13 +124,52 @@ def full_grid_summands(key):
             if left != 0:
                 pairs.append((left, 1))
         return pairs
-    for j in range(1, d):
-        for i in range(k, n + 1):
+    for i in range(k, n + 1):
+        for j in range(1, d):
             left = _resolve(p - 1, n, i, d - j)
             right = _resolve(p, i - 1, k - 1, j)
             if left != 0 and right != 0:
                 pairs.append((left, right))
     return pairs
+
+
+def _guarded_key(p: int, n: int, k: int, d: int):
+    """The guards of ``counting._resolve`` without its room test: the domain
+    and prefix-mass guards, then the normalization (n capped at d - 1, p at
+    d when k = 0, the one-variable rule).  Kept here, so that the emptiness
+    rule is checked against a recursion that does not use it."""
+    if d <= 0 or p < 1 or n < 0 or k < 0 or k > n:
+        return 0
+    if comb(p + k, k) > d:
+        return 0
+    n = min(n, d - 1)
+    if k == 0 and p > d:
+        p = d
+    if p == 1:
+        return 1 if (k == d - 1 and n >= d - 1) else 0
+    return (p, n, k, d)
+
+
+def reference_count(p: int, n: int, k: int, d: int) -> int:
+    """``count_restricted`` by the full-grid recursion on ``_guarded_key``:
+    every (i, j) cell of the split, with no loop bound and no emptiness
+    test, memoized per key."""
+    key = _guarded_key(p, n, k, d)
+    return key if isinstance(key, int) else _reference_key(*key)
+
+
+@lru_cache(maxsize=None)
+def _reference_key(p: int, n: int, k: int, d: int) -> int:
+    if k == 0:
+        return sum(reference_count(p - 1, n, kk, d) for kk in range(d))
+    return sum(reference_count(p - 1, n, i, d - j) * reference_count(p, i - 1, k - 1, j)
+               for i in range(k, n + 1) for j in range(1, d))
+
+
+def emptiness_rule(p: int, n: int, k: int, d: int) -> bool:
+    """The module rule of ``counting`` in closed form: nonempty exactly when
+    C(p + k, k) <= d <= C(p + n, n) - C(p + n - k - 1, p), for 0 <= k <= n."""
+    return comb(p + k, k) <= d <= comb(p + n, n) - comb(p + n - k - 1, p)
 
 
 @lru_cache(maxsize=None)
@@ -155,6 +196,33 @@ def cellwise_exhaustive_count(p: int, n: int, k: int, d: int) -> int:
     if d < 1 or p < 1 or n < 0 or k < 0:
         return 0
     return sum(_cellwise_prefix(seq, p, d) == k for seq in _cellwise_candidates(n, d))
+
+
+class Classification(NamedTuple):
+    socle_degree: int
+    max_prefix: int
+    multiplicity: int
+
+
+def classify(ideal: OrderIdeal) -> Classification:
+    """Socle degree, maximal-growth prefix length and multiplicity.
+
+    The prefix length is the largest k with degree counts equal to
+    C(p - 1 + i, i) for all i <= k, i.e. the degrees filled completely.
+    """
+    if not ideal.terms:
+        raise ValueError("cannot classify the empty set")
+    counts = ideal.degree_counts
+    if counts[0] != 1:
+        raise ValueError("classification expects the unit term present")
+    k = 0
+    while k + 1 < len(counts) and counts[k + 1] == binomial(ideal.p + k, k + 1):
+        k += 1
+    return Classification(
+        socle_degree=ideal.socle_degree,
+        max_prefix=k,
+        multiplicity=ideal.multiplicity,
+    )
 
 
 @lru_cache(maxsize=None)

@@ -25,10 +25,10 @@ from oseq.analysis import (
 from oseq.cli import fetch_oeis, run
 from oseq.counting import CountCache, count_restricted, count_via_formula
 from oseq.enumerator import count_table
-from oseq.lexseg import classify, decompose, exhaustive_count, sous_escalier
+from oseq.lexseg import decompose, exhaustive_count, sous_escalier
 
 from conftest import record_verdict
-from helpers import brute_sequences
+from helpers import brute_sequences, classify
 
 
 def _verdict(n: int, ok: bool, note: str = "") -> None:

@@ -132,8 +132,8 @@ class TestFormula:
     @pytest.mark.parametrize(
         "query, expected",
         [
-            (["3", "8", "1", "9"], {"count": 7, "hits": 46, "misses": 30, "cached_keys": 30}),
-            (["5", "20", "2", "25"], {"count": 5, "hits": 165, "misses": 57, "cached_keys": 57}),
+            (["3", "8", "1", "9"], {"count": 7, "hits": 13, "misses": 11, "cached_keys": 11}),
+            (["5", "20", "2", "25"], {"count": 5, "hits": 18, "misses": 15, "cached_keys": 15}),
         ],
         ids=["3-8-1-9", "5-20-2-25"],
     )

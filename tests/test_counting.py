@@ -1,4 +1,5 @@
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,15 @@ from oseq.counting import (
 from oseq.enumerator import count_table
 from oseq.lexseg import exhaustive_count
 
-from helpers import brute_sequences, full_grid_summands, two_variable_count
+from helpers import (
+    brute_sequences,
+    emptiness_rule,
+    full_grid_summands,
+    reference_count,
+    two_variable_count,
+)
+
+DATA = Path(__file__).parent / "data"
 
 # the recursion's two-variable count summed over prefix lengths, for
 # d = 1..12, frozen from the constrained enumeration oracle (all
@@ -122,20 +131,21 @@ class TestSummandBounds:
                 for p in range(1, 7) for d in range(1, 21)
                 for n in range(d + 1) for k in range(n + 1)}
         keys = {key for key in keys if isinstance(key, tuple)}
-        assert len(keys) > 2000
+        assert len(keys) == 1960  # every nonempty key; 2 561 before the room test
         # the keys a cold O_24 expands, up to p = 24
         cache = CountCache()
         count_via_formula(24, cache)
-        assert len(cache) == 927
+        assert len(cache) == 523
         for key in sorted(keys | set(cache.entries)):
             assert counting._summands(key) == full_grid_summands(key), key
 
     def test_cold_total_visits_few_cells(self, monkeypatch):
         calls = _count_normalize_calls(monkeypatch)
         assert count_via_formula(17) == 428
-        # 2 540, every one nonzero; 4 290 when a one-variable left factor
-        # was scanned over its whole i range, 25 966 for the full (j, i) grid
-        assert 2_000 < calls[0] <= 2_600
+        # 891, every one nonempty; 2 540 before the room bounds, 4 290 when a
+        # one-variable left factor was scanned over its whole i range,
+        # 25 966 for the full (j, i) grid
+        assert 800 < calls[0] <= 900
 
     def test_one_variable_left_factor_visited_once(self, monkeypatch):
         cells, zeros = [], []
@@ -157,16 +167,15 @@ class TestSummandBounds:
     def test_cold_stats_unchanged(self):
         cache = CountCache()
         count_via_formula(17, cache)
-        assert (len(cache), cache.hits, cache.misses) == (383, 1923, 383)
+        assert (len(cache), cache.hits, cache.misses) == (226, 518, 226)
 
     @pytest.mark.parametrize("d, value, stats", [
-        (24, 3279, (927, 6846, 927)),
-        (40, 164347, (3312, 42350, 3312)),
-        (60, 9469536, (8923, 173761, 8923)),
+        (24, 3279, (523, 1641, 523)),
+        (40, 164347, (1843, 9523, 1843)),
+        (60, 9469536, (5073, 39367, 5073)),
     ])
     def test_cold_accounting_pinned(self, d, value, stats):
-        # hits count every stored factor read, less the right factor of a
-        # left factor that counts 0, which the sum never reads
+        # hits count every stored factor read; no stored key counts 0
         cache = CountCache()
         assert count_via_formula(d, cache) == value
         assert (len(cache), cache.hits, cache.misses) == stats
@@ -176,6 +185,35 @@ class TestSummandBounds:
         assert count_restricted(99, 98, 1, 100) == 1
         # 197; the full (j, i) grid makes 328 349
         assert 10 <= calls[0] <= 400
+
+
+class TestEmptinessRule:
+    def test_rule_matches_reference_recursion(self):
+        # 23 400 cells, 18 232 of them empty, against a full-grid recursion
+        # that knows only the domain and prefix-mass guards
+        cache, empty = CountCache(), 0
+        for p in range(2, 11):
+            for d in range(1, 25):
+                for n in range(d):
+                    for k in range(n + 1):
+                        expected = reference_count(p, n, k, d)
+                        empty += expected == 0
+                        assert emptiness_rule(p, n, k, d) == (expected > 0), (p, n, k, d)
+                        assert (counting._resolve(p, n, k, d) != 0) == (expected > 0)
+                        assert count_restricted(p, n, k, d, cache) == expected
+        assert empty == 18_232
+
+    def test_rule_matches_two_variable_shape(self):
+        for d in range(1, 41):
+            for n in range(d):
+                for k in range(n + 1):
+                    assert emptiness_rule(2, n, k, d) == (two_variable_count(n, k, d) > 0)
+
+    def test_no_empty_key_stored(self):
+        cache = CountCache()
+        for d in range(1, 101):
+            count_via_formula(d, cache)
+        assert all(cache.entries.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -311,6 +349,26 @@ class TestCachePersistence:
         path.write_bytes(b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,\xe9\n")
         with pytest.raises(CacheFormatError, match=re.escape(f"{path}: not an ASCII memo file")):
             load_cache(str(path))
+
+    def test_file_with_zero_lines_gives_same_answers(self, tmp_path):
+        # written by an earlier version for `formula 3 8 1 9` then
+        # `formula 5 20 2 25`: 69 keys, 33 of them counting 0
+        old = DATA / "memo_v1_with_zeros.txt"
+        lines = old.read_text().splitlines()[1:]
+        nonzero = [line for line in lines if not line.endswith(",0")]
+        assert (len(lines), len(nonzero)) == (69, 36)
+        warm = load_cache(str(old))
+        assert len(warm) == 36 and all(warm.entries.values())
+        for query in [(3, 8, 1, 9), (5, 20, 2, 25)]:
+            assert count_restricted(*query, warm) == count_restricted(*query), query
+        assert warm.misses == 0
+        for query in [(4, 9, 1, 12), (3, 6, 0, 9), (2, 1, 1, 4)]:
+            assert count_restricted(*query, warm) == count_restricted(*query), query
+        path = tmp_path / "memo.cache"
+        save_cache(warm, str(path))
+        saved = path.read_text().splitlines()
+        assert set(nonzero) <= set(saved[1:])
+        assert not any(line.endswith(",0") for line in saved)
 
     def test_warm_cache_needs_no_expansion(self, tmp_path):
         cache = CountCache()

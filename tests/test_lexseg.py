@@ -4,10 +4,8 @@ import pytest
 
 from oseq.counting import count_restricted
 from oseq.lexseg import (
-    Classification,
     OrderIdeal,
     ParameterTooLargeError,
-    classify,
     decompose,
     exhaustive_count,
     sous_escalier,
@@ -16,7 +14,13 @@ from oseq.lexseg import (
 )
 from oseq.macaulay import binomial
 
-from helpers import brute_sequences, cellwise_exhaustive_count, first_lex_terms
+from helpers import (
+    Classification,
+    brute_sequences,
+    cellwise_exhaustive_count,
+    classify,
+    first_lex_terms,
+)
 
 
 class TestTermOrder:
