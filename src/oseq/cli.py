@@ -1,8 +1,10 @@
 """Command-line interface: tables, counts, enumeration, verification, OEIS check.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 I/O or
-network failure.  Only the oeis-check subcommand ever touches the
-network, and only when --allow-network is passed.
+Exit codes: 0 success; 1 a verification mismatch and nothing else; 2 usage
+error; 3 any I/O or network failure, writing the output included.  run()
+alone maps an exception to its exit code, and every line written to stderr
+starts ``oseq <command>: ``.  Only the oeis-check subcommand ever touches
+the network, and only when --allow-network is passed.
 """
 from __future__ import annotations
 
@@ -48,14 +50,6 @@ _SUITES = {
     "bijection": (14, lambda max_d: analysis.check_window_bijection(max_d)),
     "recursion": (60, lambda max_d: analysis.check_recursion(count_table(max_d))),
 }
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _IoError(Exception):
-    pass
 
 
 class BFileParseError(Exception):
@@ -128,15 +122,9 @@ def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tupl
     return entries
 
 
-def _positive(sub: str, name: str, value: int) -> int:
-    if value < 1:
-        raise _UsageError(f"{sub}: argument {name} must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative(sub: str, name: str, value: int) -> int:
-    if value < 0:
-        raise _UsageError(f"{sub}: argument {name} must be >= 0, got {value}")
+def _at_least(least: int, name: str, value: int) -> int:
+    if value < least:
+        raise ValueError(f"argument {name} must be >= {least}, got {value}")
     return value
 
 
@@ -159,7 +147,7 @@ def _emit_rows(rows: list[dict], fmt: str, columns: list[str]) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    max_d = _positive("table", "--max-d", args.max_d)
+    max_d = _at_least(1, "--max-d", args.max_d)
     table = count_table(max_d)
     rows = [{"d": d, "O": o, "A": a} for d, o, a in table.rows()]
     _emit_rows(rows, args.format, ["d", "O", "A"])
@@ -167,7 +155,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    d = _positive("count", "d", args.d)
+    d = _at_least(1, "d", args.d)
     row: dict = {"d": d}
     if args.method in ("enum", "both"):
         row["enum"] = count_table(d).O[d]
@@ -177,30 +165,27 @@ def _cmd_count(args: argparse.Namespace) -> int:
         row["agree"] = row["enum"] == row["formula"]
     _emit_rows([row], args.format, list(row))
     if args.method == "both" and not row["agree"]:
-        print(f"count: methods disagree at d={d}", file=sys.stderr)
+        print(f"oseq count: methods disagree at d={d}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
-    p = _positive("formula", "p", args.p)
-    n = _nonnegative("formula", "n", args.n)
-    k = _nonnegative("formula", "k", args.k)
-    d = _positive("formula", "d", args.d)
+    p = _at_least(1, "p", args.p)
+    n = _at_least(0, "n", args.n)
+    k = _at_least(0, "k", args.k)
+    d = _at_least(1, "d", args.d)
     cache = CountCache()
     existed = bool(args.cache) and os.path.exists(args.cache)
-    if existed:
-        try:
+    try:
+        if existed:
             load_cache(args.cache, into=cache)
-        except OSError as exc:
-            raise _IoError(f"formula: --cache {args.cache}: {exc}") from exc
-    value = count_restricted(p, n, k, d, cache)
-    # a query that stored no new key leaves an existing file untouched
-    if args.cache and (cache.misses or not existed):
-        try:
+        value = count_restricted(p, n, k, d, cache)
+        # a query that stored no new key leaves an existing file untouched
+        if args.cache and (cache.misses or not existed):
             save_cache(cache, args.cache)
-        except OSError as exc:
-            raise _IoError(f"formula: --cache {args.cache}: {exc}") from exc
+    except OSError as exc:
+        raise OSError(f"--cache {args.cache}: {exc}") from exc
     row: dict = {"p": p, "n": n, "k": k, "d": d, "count": value}
     columns = ["p", "n", "k", "d", "count"]
     if args.stats:
@@ -211,7 +196,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    d = _positive("enumerate", "d", args.d)
+    d = _at_least(1, "d", args.d)
     write = sys.stdout.write
     for chunk in iter_text(d, args.last_gt_1):
         write(chunk)
@@ -225,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         report = runner(default_max_d if args.max_d is None else args.max_d)
     except ValueError as exc:
-        raise _UsageError(f"verify: --suite {suite}: {exc}") from None
+        raise ValueError(f"--suite {suite}: {exc}") from None
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
@@ -238,12 +223,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
 
-def _parse_sequence(sub: str, text: str) -> tuple[int, ...]:
+def _parse_sequence(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise _UsageError(f"{sub}: argument h must be comma-separated integers, "
-                          f"got {text!r}") from None
+        raise ValueError(f"argument h must be comma-separated integers, "
+                         f"got {text!r}") from None
 
 
 def _ideal_rows(ideal: OrderIdeal, part: str) -> list[dict]:
@@ -252,16 +237,13 @@ def _ideal_rows(ideal: OrderIdeal, part: str) -> list[dict]:
 
 
 def _cmd_lexseg(args: argparse.Namespace) -> int:
-    h = _parse_sequence("lexseg", args.h)
-    p = _positive("lexseg", "--vars", args.vars)
+    h = _parse_sequence(args.h)
+    p = _at_least(1, "--vars", args.vars)
     slots = sum(h) * p
     if slots > LEXSEG_MAX_SLOTS:
-        raise _UsageError(f"lexseg: sum(h) x --vars = {slots} exponent slots, "
-                          f"above the limit of {LEXSEG_MAX_SLOTS}")
-    try:
-        ideal = sous_escalier(h, p)
-    except ValueError as exc:
-        raise _UsageError(f"lexseg: {exc}") from None
+        raise ValueError(f"sum(h) x --vars = {slots} exponent slots, "
+                         f"above the limit of {LEXSEG_MAX_SLOTS}")
+    ideal = sous_escalier(h, p)
     sections: list[tuple[str, OrderIdeal]] = [("M", ideal)]
     if args.decompose:
         m1, m2 = decompose(ideal)
@@ -289,30 +271,21 @@ def _cmd_lexseg(args: argparse.Namespace) -> int:
 
 def _cmd_oeis_check(args: argparse.Namespace) -> int:
     if not args.allow_network:
-        raise _UsageError("oeis-check: network access is off by default; "
-                          "pass --allow-network to permit the HTTP fetch")
-    max_d = _positive("oeis-check", "--max-d", args.max_d)
-    try:
-        entries = fetch_oeis(cache_dir=args.cache_dir)
-    except (OSError, BFileParseError) as exc:
-        print(f"oeis-check: {exc}", file=sys.stderr)
-        return EXIT_IO
+        raise ValueError("network access is off by default; "
+                         "pass --allow-network to permit the HTTP fetch")
+    max_d = _at_least(1, "--max-d", args.max_d)
+    known = dict(fetch_oeis(cache_dir=args.cache_dir))
     table = count_table(max_d)
-    known = dict(entries)
     rows = []
-    mismatches = 0
     for d in range(1, max_d + 1):
         expected = known.get(d)
         computed = table.O[d]
-        match = None if expected is None else computed == expected
-        if match is False:
-            mismatches += 1
         rows.append({"d": d, "computed": computed, "reference": expected,
-                     "match": match})
+                     "match": None if expected is None else computed == expected})
     _emit_rows(rows, args.format, ["d", "computed", "reference", "match"])
-    if mismatches:
-        bad = [str(r["d"]) for r in rows if r["match"] is False]
-        print(f"oeis-check: mismatch at d = {', '.join(bad)}", file=sys.stderr)
+    bad = [str(r["d"]) for r in rows if r["match"] is False]
+    if bad:
+        print(f"oseq oeis-check: mismatch at d = {', '.join(bad)}", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
 
@@ -352,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum = sub.add_parser("enumerate", help="stream O-sequences of multiplicity d")
     p_enum.add_argument("d", type=int)
     group = p_enum.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", default=False)
+    group.add_argument("--all", action="store_true",
+                       help="the default listing of every O-sequence; changes nothing")
     group.add_argument("--last-gt-1", action="store_true", dest="last_gt_1")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
@@ -383,25 +357,31 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if sys.stdout is None:  # started with stdout closed: nothing can be written
+        print(f"oseq {args.command}: stdout is closed", file=sys.stderr)
+        return EXIT_IO
     try:
-        return args.handler(args)
-    except _UsageError as exc:
-        print(f"oseq {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code = args.handler(args)
+        # a failed final flush is a failed write like any other
+        sys.stdout.flush()
+        return code
     except (CacheFormatError, CacheCorruptionError) as exc:
         print(f"oseq {args.command}: cache: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _IoError as exc:
-        print(f"oseq {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"oseq {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
-        # enumerate piped into head; hand stdout a sink so shutdown stays quiet
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_OK
+        code = EXIT_OK  # enumerate piped into head
+    except (OSError, BFileParseError) as exc:
+        print(f"oseq {args.command}: {exc}", file=sys.stderr)
+        code = EXIT_IO
+    try:
+        sys.stdout.flush()
+    except OSError:
+        # stdout is closed or full: a sink keeps the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -240,9 +240,14 @@ def count_via_formula(d: int, cache: CountCache | None = None) -> int:
 
 def write_atomic(path: str, text: str, encoding: str) -> None:
     """Replace ``path`` by ``text`` through a temporary file in the same
-    directory, so a failed write leaves the old file and no temporary one."""
+    directory, so a failed write leaves the old file and no temporary one.
+    A temporary that cannot be created is reported under ``path``, so the
+    message does not change from run to run."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    fh = open(tmp, "x", encoding=encoding, newline="")
+    try:
+        fh = open(tmp, "x", encoding=encoding, newline="")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with fh:
             fh.write(text)

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -168,6 +169,15 @@ class TestFormula:
         assert "replace refused" in err
         assert cache.read_bytes() == before
         assert os.listdir(tmp_path) == ["memo.txt"]
+
+    def test_uncreatable_cache_file_message_is_stable(self, capsys, tmp_path):
+        # the temporary's random name stays out of the message
+        cache = str(tmp_path / "missing" / "memo.txt")
+        argv = ["formula", "3", "8", "1", "9", "--cache", cache]
+        first = invoke(capsys, argv)
+        assert invoke(capsys, argv) == first
+        assert first[:2] == (EXIT_IO, "")
+        assert first[2].endswith(f"No such file or directory: '{cache}'\n")
 
     def test_non_ascii_cache_file(self, capsys, tmp_path):
         cache = tmp_path / "memo.txt"
@@ -536,3 +546,138 @@ class TestDeterminism:
         first = invoke(capsys, argv)
         second = invoke(capsys, argv)
         assert first == second
+
+
+class FullStdout(io.StringIO):
+    """A stdout on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+ENOSPC_NOTE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+# every error path that existed before run() became the only place that
+# maps an exception to an exit code, with its exact stderr; {tmp} is the
+# test's tmp_path
+PINNED_ERRORS = [
+    (["table", "--max-d", "0"], EXIT_USAGE,
+     "oseq table: argument --max-d must be >= 1, got 0\n"),
+    (["count", "0"], EXIT_USAGE, "oseq count: argument d must be >= 1, got 0\n"),
+    (["formula", "0", "8", "1", "9"], EXIT_USAGE,
+     "oseq formula: argument p must be >= 1, got 0\n"),
+    (["formula", "3", "-1", "1", "9"], EXIT_USAGE,
+     "oseq formula: argument n must be >= 0, got -1\n"),
+    (["formula", "3", "8", "-1", "9"], EXIT_USAGE,
+     "oseq formula: argument k must be >= 0, got -1\n"),
+    (["formula", "3", "8", "1", "0"], EXIT_USAGE,
+     "oseq formula: argument d must be >= 1, got 0\n"),
+    (["enumerate", "0"], EXIT_USAGE, "oseq enumerate: argument d must be >= 1, got 0\n"),
+    (["lexseg", "1,2", "--vars", "0"], EXIT_USAGE,
+     "oseq lexseg: argument --vars must be >= 1, got 0\n"),
+    (["oeis-check", "--allow-network", "--max-d", "0"], EXIT_USAGE,
+     "oseq oeis-check: argument --max-d must be >= 1, got 0\n"),
+    (["formula", "3", "8", "1", "9", "--cache", "{tmp}/missing/memo.txt"], EXIT_IO,
+     "oseq formula: --cache {tmp}/missing/memo.txt: [Errno 2] No such file or directory: "
+     "'{tmp}/missing/memo.txt'\n"),
+    (["formula", "3", "8", "1", "9", "--cache", "{tmp}/v0"], EXIT_IO,
+     "oseq formula: cache: {tmp}/v0: expected header '# oseq-memo v1', "
+     "got '# oseq-memo v0'\n"),
+    (["formula", "3", "8", "1", "9", "--cache", "{tmp}/short"], EXIT_IO,
+     "oseq formula: cache: {tmp}/short:2: expected 5 fields, got 4\n"),
+    (["verify", "--suite", "oracle", "--max-d", "13"], EXIT_USAGE,
+     "oseq verify: --suite oracle: suite oracle needs 1 <= max_d <= 12 "
+     "(exhaustive search), got 13\n"),
+    (["verify", "--suite", "bijection", "--max-d", "41"], EXIT_USAGE,
+     "oseq verify: --suite bijection: suite bijection needs 5 <= max_d <= 40 "
+     "(stems in memory), got 41\n"),
+    (["verify", "--suite", "ratios", "--max-d", "5"], EXIT_USAGE,
+     "oseq verify: --suite ratios: suite ratios needs a table up to at least d = 6, "
+     "got max_d = 5\n"),
+    (["lexseg", "1,x", "--vars", "2"], EXIT_USAGE,
+     "oseq lexseg: argument h must be comma-separated integers, got '1,x'\n"),
+    (["lexseg", "1,3", "--vars", "2"], EXIT_USAGE,
+     "oseq lexseg: h[1] = 3 exceeds the 2 degree-1 terms in 2 variables\n"),
+    (["lexseg", "1,2", "--vars", "1000000000"], EXIT_USAGE,
+     "oseq lexseg: sum(h) x --vars = 3000000000 exponent slots, "
+     "above the limit of 10000000\n"),
+    (["oeis-check", "--max-d", "6"], EXIT_USAGE,
+     "oseq oeis-check: network access is off by default; "
+     "pass --allow-network to permit the HTTP fetch\n"),
+]
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize(
+        "argv, code, err", PINNED_ERRORS,
+        ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(PINNED_ERRORS)])
+    def test_error_output_pinned(self, capsys, tmp_path, argv, code, err):
+        (tmp_path / "v0").write_text("# oseq-memo v0\n")
+        (tmp_path / "short").write_text("# oseq-memo v1\n2,3,1,5\n")
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        assert invoke(capsys, argv) == (code, "", err.replace("{tmp}", str(tmp_path)))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table", "--max-d", "3"],
+            ["table", "--max-d", "3", "--format", "csv"],
+            ["count", "5", "--format", "json"],
+            ["formula", "3", "8", "1", "9", "--cache", "{tmp}/memo.txt"],
+            ["enumerate", "5"],
+            ["verify", "--suite", "ratios", "--max-d", "12"],
+            ["lexseg", "1,2", "--vars", "2"],
+        ],
+        ids=["table", "table-csv", "count-json", "formula-cache", "enumerate", "verify",
+             "lexseg"],
+    )
+    def test_failed_output_write_exits_3(self, capsys, monkeypatch, tmp_path, argv):
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        # one line, and the output is at fault, not the --cache file
+        assert invoke(capsys, argv) == (EXIT_IO, "", f"oseq {argv[0]}: {ENOSPC_NOTE}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["table", "--max-d", "3"],
+                                      ["verify", "--suite", "ratios", "--max-d", "12"]],
+                             ids=["table", "verify"])
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_stdout_on_dev_full_exits_3(self, argv, unbuffered):
+        # buffered, the output fails only at the final flush and would fail
+        # again at the interpreter's flush at exit
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "oseq.cli", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (done.returncode, done.stderr.decode()) == (
+            EXIT_IO, f"oseq {argv[0]}: {ENOSPC_NOTE}\n")
+
+    def test_closed_stdout_exits_3(self):
+        # a process started with stdout closed has sys.stdout = None
+        done = subprocess.run(["sh", "-c", 'exec "$0" -m oseq.cli table --max-d 3 >&-',
+                               sys.executable], stderr=subprocess.PIPE, env=child_env(),
+                              timeout=60)
+        assert (done.returncode, done.stderr) == (EXIT_IO, b"oseq table: stdout is closed\n")
+
+    def test_count_disagreement_note(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "count_via_formula", lambda d: 0)
+        code, _, err = invoke(capsys, ["count", "5"])
+        assert (code, err) == (EXIT_MISMATCH, "oseq count: methods disagree at d=5\n")
+
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            ("1 1\n2 1\n3 2\n4 4\n", EXIT_MISMATCH, "oseq oeis-check: mismatch at d = 4\n"),
+            ("1 one\n", EXIT_IO, "oseq oeis-check: {tmp}/b232476.txt: line 1: "
+                                 "non-integer field in '1 one'\n"),
+        ],
+        ids=["mismatch", "malformed"],
+    )
+    def test_oeis_check_notes(self, capsys, tmp_path, text, code, err):
+        (tmp_path / "b232476.txt").write_text(text, encoding="ascii")
+        got = invoke(capsys, ["oeis-check", "--max-d", "4", "--allow-network",
+                              "--cache-dir", str(tmp_path)])
+        assert (got[0], got[2]) == (code, err.replace("{tmp}", str(tmp_path)))
