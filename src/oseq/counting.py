@@ -76,15 +76,18 @@ def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
     """Settle a cell that passes the domain, prefix-mass and room tests of
     ``_resolve``, or return its memo key.  Capping n at d - 1, and p at d when
     k = 0 (at most d - 1 of the p variables can appear), keeps the memo
-    small without changing any stored fact."""
+    small without changing any stored fact.
+
+    In one variable the only sequence is (1, 1, ..., 1), whose prefix is
+    all of it, so it counts 1 exactly when k = d - 1 <= n.  Those tests
+    force that: the prefix mass k + 1 <= d and the room U(1, n, k) = k + 1
+    >= d (the bounds of ``_summands`` are the same), so a one-variable cell
+    that reaches here counts 1."""
     if n >= d:
         n = d - 1
     if k == 0 and p > d:
         p = d
-    if p == 1:
-        # one variable: the sequence is (1, 1, ..., 1), all growth maximal
-        return 1 if (k == d - 1 and n >= d - 1) else 0
-    return (p, n, k, d)
+    return 1 if p == 1 else (p, n, k, d)
 
 
 def _room(p: int, n: int, k: int, d: int) -> tuple[int, int]:

@@ -20,16 +20,16 @@ counts, never the sequences themselves.
 Listing does not use the two moves.  Since growth_bound(1, t) = 1 for
 t >= 1, an entry 1 after position 0 forces every later entry to be 1, so
 each O-sequence is a stem (1, a_1, ..., a_s) with every a_t >= 2, followed
-by trailing 1s.  A depth-first walk over the stems visits each O-sequence
-once, in lexicographic order.  Its stack holds, for each open node, the
-entries still to try, its rest (the mass left for the trailing part) and
-its stem: a tuple in iter_stems, the text of its line in iter_text.
+by trailing 1s.  One depth-first walk over the stems, iter_stems, visits
+each O-sequence once, in lexicographic order.  Its stack holds, for each
+open stem, the entries still to try, its rest (the mass left for the
+trailing part) and the stem itself.
 
-The subtree under a node (t, a_t, rest) depends only on those three numbers,
-and few of them are distinct (987 among the 25 674 nodes at d = 32).  So
-iter_text, the text of ``oseq enumerate``, builds each subtree of at most
-BLOCK_LINES nodes once per call as one block of text, from its children's
-blocks, and walks only the larger subtrees node by node.
+The subtree under a stem (t, a_t, rest) depends only on those three
+numbers, and few of them are distinct (987 among the 25 674 stems at
+d = 32).  So iter_text, the text of ``oseq enumerate``, walks only the
+stems with rest above BLOCK_REST, and writes every other subtree as one
+block of text, built once per call from its children's blocks.
 """
 from __future__ import annotations
 
@@ -42,8 +42,9 @@ from .macaulay import growth_bound
 Sequence = tuple[int, ...]
 State = tuple[int, int, int]
 
-# The largest subtree, in nodes, that iter_text builds as one memoized block.
-BLOCK_LINES = 256
+# The largest rest of a stem whose subtree iter_text writes as one memoized
+# block; a stem with more rest prints its own line.
+BLOCK_REST = 20
 
 
 @dataclass
@@ -68,11 +69,12 @@ def can_increment(s: int, prev: int, last: int) -> bool:
 
 
 def _entries(t: int, v: int, rest: int) -> range:
-    """The entries a_{t+1} of the children of node (t, v, rest), for rest >= 2.
+    """The entries a_{t+1} of the children of node (t, v, rest).
 
     The step out of a_0 = 1 is unconstrained; after it the growth bound
-    caps the next entry.  Callers ask only at rest >= 2, since every entry
-    after a_0 is at least 2, so a node with less rest makes no lookup.
+    caps the next entry.  Every entry after a_0 is at least 2, so the range
+    is empty at rest below 2, where the walks make no lookup unless
+    ``iter_stems`` is told to expand such stems.
     """
     return range(2, (rest if t == 0 else min(rest, growth_bound(v, t))) + 1)
 
@@ -83,83 +85,61 @@ def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
     ``iter_stems(d)``; with ``last_gt_1`` only the lines of sequences whose
     last entry exceeds 1.  Yields chunks of whole lines.
 
-    The lines under a node (t, v, rest), less the node's own stem text,
-    depend only on (t, v, rest).  A subtree of at most BLOCK_LINES nodes is
-    therefore built once per call as one block, memoized by that triple,
-    from its children's blocks, each child's lines taking their entry in
-    front through one ``str.replace``.  Larger subtrees are walked node by
-    node on an explicit stack, as in ``iter_stems``; a node whose rest
-    allows a chain of more than BLOCK_LINES - 1 twos below it is refused at
-    once.  The root line comes out before any block is built.  The memo
-    lives only as long as the generator.
+    The lines under a stem (t, v, rest), less the stem's own text, depend
+    only on (t, v, rest).  So the walk is ``iter_stems(d, BLOCK_REST)``: the
+    root and each stem with rest above BLOCK_REST print their own line, and
+    every other stem writes its subtree as one block, memoized by that
+    triple and built from its children's blocks, each child's lines taking
+    their entry in front through one ``str.replace``.  A block's recursion
+    is at most BLOCK_REST // 2 + 1 deep.  The root line comes out before
+    any block is built.  The memo lives only as long as the generator.
     """
-    if d < 1:
-        raise ValueError(f"multiplicity must be positive, got {d}")
-    limit = BLOCK_LINES
-    # (t, v, rest) -> (block, nodes), or None for a subtree over the limit.
-    # A block holds one "\n" + suffix per node of the subtree, in preorder;
-    # the suffix is what follows the node's stem text on its line, and is
-    # the empty string for a node whose line is not printed.
-    memo: dict[tuple[int, int, int], tuple[str, int] | None] = {}
+    # A block holds one "\n" + suffix per stem of the subtree, in preorder;
+    # the suffix is what follows the stem's text on its line, and is the
+    # empty string for a stem whose line is not printed.
+    memo: dict[tuple[int, int, int], str] = {}
 
-    def block(t: int, v: int, rest: int) -> tuple[str, int] | None:
+    def block(t: int, v: int, rest: int) -> str:
         key = (t, v, rest)
-        if key in memo:
-            return memo[key]
-        # the chain of 2s below the node alone has rest // 2 nodes
-        if rest // 2 + 1 > limit:
-            return None
-        if last_gt_1:
-            parts = ["" if rest else "\n"]
-        else:
-            parts = ["\n" + ",1" * rest]
-        nodes = 1
-        if rest >= 2:
-            for w in _entries(t, v, rest):
-                child = block(t + 1, w, rest - w)
-                if child is None or nodes + child[1] > limit:
-                    memo[key] = None
-                    return None
-                nodes += child[1]
-                parts.append(child[0].replace("\n", f"\n,{w}"))
-        memo[key] = result = "".join(parts), nodes
-        return result
+        if key not in memo:
+            if last_gt_1:
+                parts = ["" if rest else "\n"]
+            else:
+                parts = ["\n" + ",1" * rest]
+            if rest >= 2:
+                for w in _entries(t, v, rest):
+                    parts.append(block(t + 1, w, rest - w).replace("\n", f"\n,{w}"))
+            memo[key] = "".join(parts)
+        return memo[key]
 
-    if not last_gt_1:
-        yield "1" + ",1" * (d - 1) + "\n"
-    # one frame per open node: its untried entries, its rest and its text
-    stack = [(iter(_entries(0, 1, d - 1)), d - 1, "1")] if d > 2 else []
-    while stack:
-        entries, rest, text = stack[-1]
-        t = len(stack)
-        for v in entries:
-            left = rest - v
-            child = block(t, v, left)
-            if child is not None:
-                if child[0]:
-                    # drop the block's leading newline and end its last line
-                    yield child[0].replace("\n", f"\n{text},{v}")[1:] + "\n"
-                continue
-            # a refused node has children (BLOCK_LINES >= 1), so left >= 2
-            # and its own line ends in a 1
-            line = f"{text},{v}"
-            if not last_gt_1:
-                yield line + ",1" * left + "\n"
-            stack.append((iter(_entries(t, v, left)), left, line))
-            break
-        else:
-            stack.pop()
+    texts: list[str] = []  # the text of each walked stem, by depth
+    for stem, rest in iter_stems(d, BLOCK_REST):
+        t, v = len(stem) - 1, stem[-1]
+        if t and rest <= BLOCK_REST:
+            text = block(t, v, rest)
+            if text:
+                # drop the block's leading newline and end its last line
+                yield text.replace("\n", f"\n{texts[t - 1]},{v}")[1:] + "\n"
+            continue
+        texts[t:] = [f"{texts[t - 1]},{v}" if t else "1"]
+        # every walked line ends in a 1: the root's is all 1s, and any other
+        # walked stem has rest above BLOCK_REST >= 0
+        if not last_gt_1:
+            yield texts[t] + ",1" * rest + "\n"
 
 
-def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
+def iter_stems(d: int, leaf_rest: int = 1) -> Iterator[tuple[Sequence, int]]:
     """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
     in lexicographic order of the sequences and as a preorder: a stem comes
     out before its children, and after it only its own descendants until
     the walk leaves its subtree.  So for d' <= d, the stems of mass at most
     d' (mass d - rest) are those of ``iter_stems(d')``, in the same order.
 
-    Every entry after a_0 is at least 2, so a stem whose rest is below 2
-    has no child, no ``growth_bound`` lookup and no stack frame.
+    A stem other than (1,) whose rest is at most ``leaf_rest`` comes out
+    without its descendants; the root is expanded whenever d > 2.  Every
+    entry after a_0 is at least 2, so at the default a stem with rest
+    below 2 has no child anyway, and makes no ``growth_bound`` lookup and
+    no stack frame.
     """
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
@@ -173,8 +153,7 @@ def iter_stems(d: int) -> Iterator[tuple[Sequence, int]]:
             left = rest - v
             child = stem + (v,)
             yield child, left
-            if left >= 2:
-                # growth_bound(v, t) >= v >= 2, so the new frame is not empty
+            if left > leaf_rest:
                 stack.append((iter(_entries(t, v, left)), left, child))
                 break
         else:

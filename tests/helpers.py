@@ -256,8 +256,11 @@ def stem_walk(d: int):
     """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
     by a stack of whole stem tuples: each node pushes one tuple per child,
     largest entry first, and looks up the growth bound even when its rest
-    leaves no room for a child.  The reference for ``enumerator.iter_stems``
-    and ``iter_text``, which must yield the same stems in the same order."""
+    leaves no room for a child.  The reference for ``enumerator.iter_stems``,
+    which must yield the same stems in the same order (with a larger
+    ``leaf_rest``, only those below no proper ancestor but the root with
+    rest at most ``leaf_rest``), and for the lines of ``iter_text``, which
+    writes them from one ``iter_stems`` walk."""
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
     stack = [((1,), d - 1)]

@@ -22,7 +22,6 @@ from oseq.cli import (
     parse_b_file,
     run,
 )
-from oseq.enumerator import count_table
 from oseq.macaulay import growth_bound
 
 from helpers import brute_sequences, cellwise_exhaustive_count, stem_walk
@@ -42,9 +41,12 @@ def joined(seqs) -> str:
 
 
 def child_env() -> dict[str, str]:
-    """The environment of a child Python process that imports ``oseq`` from SRC."""
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    """The environment of a child Python process that imports ``oseq`` from SRC,
+    with stdout buffered whatever the host's ``PYTHONUNBUFFERED``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 def head_of_enumerate(d, lines, tmp_path):
@@ -243,13 +245,13 @@ class TestEnumerate:
         info = growth_bound.cache_info()
         assert info.hits + info.misses < 1000
 
-    @pytest.mark.parametrize("limit", [1, 2, count_table(26).O[26] + 1],
-                             ids=["1", "2", "above-O_d"])
+    @pytest.mark.parametrize("limit", [0, 1, 2, 26])
     def test_block_limit_boundaries(self, capsys, monkeypatch, limit):
-        # limit 1: every leaf is a block and every inner node is walked;
-        # above O_d: every child of the root is one block.  --last-gt-1
-        # meets empty blocks, such as a node with rest 1
-        monkeypatch.setattr(enumerator, "BLOCK_LINES", limit)
+        # 0: only the stems with rest 0 are blocks, one line each; 1: every
+        # leaf is a block and every inner stem is walked; 2: the smallest
+        # inner block; 26: every child of the root is one block.
+        # --last-gt-1 meets empty blocks, such as a stem with rest 1
+        monkeypatch.setattr(enumerator, "BLOCK_REST", limit)
         for d in range(1, 27):
             stems = list(stem_walk(d))
             assert invoke(capsys, ["enumerate", str(d), "--all"]) == (
@@ -266,8 +268,8 @@ class TestEnumerate:
         assert err == b""
 
     def test_deep_walk_needs_no_recursion(self, tmp_path):
-        # the chain of 2s under 1,2 is 749 nodes deep; only subtrees within
-        # the block limit are built recursively
+        # the chain of 2s under 1,2 is 749 stems deep; only the blocks, of
+        # rest at most BLOCK_REST, are built recursively
         first, code, err = head_of_enumerate(1500, 3, tmp_path)
         assert first == [b"1" + b",1" * 1499 + b"\n",
                          b"1,2" + b",1" * 1497 + b"\n",
@@ -646,7 +648,6 @@ class TestFailurePaths:
         # buffered, the output fails only at the final flush and would fail
         # again at the interpreter's flush at exit
         env = child_env()
-        env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
         with open("/dev/full", "w") as full:

@@ -202,6 +202,15 @@ class TestEmptinessRule:
                         assert (counting._resolve(p, n, k, d) != 0) == (expected > 0)
                         assert count_restricted(p, n, k, d, cache) == expected
         assert empty == 18_232
+        # one variable: nonempty only at k = n = d - 1, settled without a key
+        for d in range(1, 25):
+            for n in range(d):
+                for k in range(n + 1):
+                    expected = reference_count(1, n, k, d)
+                    assert expected == (k == n == d - 1), (n, k, d)
+                    assert emptiness_rule(1, n, k, d) == (expected > 0), (n, k, d)
+                    assert counting._resolve(1, n, k, d) == expected
+                    assert count_restricted(1, n, k, d, cache) == expected
 
     def test_rule_matches_two_variable_shape(self):
         for d in range(1, 41):

@@ -72,6 +72,15 @@ class TestIterNodes:
     def test_stems_match_tuple_walk(self, d):
         assert list(iter_stems(d)) == list(stem_walk(d))
 
+    @pytest.mark.parametrize("leaf_rest", [1, 2, 3, 5, 26])
+    def test_leaf_rest_prunes_descendants(self, leaf_rest):
+        # a stem keeps its place when no proper ancestor but the root has
+        # rest <= leaf_rest; leaf_rest 1 is the default, which prunes nothing
+        for d in range(1, 27):
+            kept = [(stem, rest) for stem, rest in stem_walk(d)
+                    if all(d - sum(stem[:j]) > leaf_rest for j in range(2, len(stem)))]
+            assert list(iter_stems(d, leaf_rest)) == kept, d
+
     @pytest.mark.parametrize("d", [24, 32])
     def test_no_lookup_at_leaves(self, d):
         # a stem with rest < 2 has no child, so only the stems of mass at
