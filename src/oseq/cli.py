@@ -2,9 +2,13 @@
 
 Exit codes: 0 success; 1 a verification mismatch and nothing else; 2 usage
 error; 3 any I/O or network failure, writing the output included.  run()
-alone maps an exception to its exit code, and every line written to stderr
-starts ``oseq <command>: ``.  Only the oeis-check subcommand ever touches
-the network, and only when --allow-network is passed.
+alone maps an exception from a subcommand to its exit code, and writes it
+as one stderr line that starts ``oseq <command>: ``.  A usage error that
+argparse itself finds (a missing, unknown or invalid argument) is not
+such an exception: argparse prints a ``usage: oseq ...`` line before its
+``error:`` line and raises SystemExit(2), which run() lets through.  Only
+the oeis-check subcommand ever touches the network, and only when
+--allow-network is passed.
 """
 from __future__ import annotations
 
@@ -290,73 +294,85 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-d", type=int, required=True, dest="max_d", metavar="D")
+
+
+def _count_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("d", type=int)
+    p.add_argument("--method", choices=["enum", "formula", "both"], default="both")
+
+
+def _formula_args(p: argparse.ArgumentParser) -> None:
+    for name in ("p", "n", "k", "d"):
+        p.add_argument(name, type=int)
+    p.add_argument("--cache", metavar="FILE")
+    p.add_argument("--stats", action="store_true")
+
+
+def _enumerate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("d", type=int)
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--all", action="store_true",
+                       help="the default listing of every O-sequence; changes nothing")
+    group.add_argument("--last-gt-1", action="store_true", dest="last_gt_1")
+
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--suite", required=True, choices=list(_SUITES))
+    p.add_argument("--max-d", type=int, dest="max_d", metavar="D")
+
+
+def _lexseg_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("h", metavar="h", help="comma-separated values, e.g. 1,2,2,1")
+    p.add_argument("--vars", type=int, required=True, metavar="p")
+    p.add_argument("--decompose", action="store_true")
+
+
+def _oeis_check_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-d", type=int, default=20, dest="max_d", metavar="D")
+    p.add_argument("--allow-network", action="store_true")
+    p.add_argument("--cache-dir", dest="cache_dir", metavar="DIR")
+
+
+# name -> (help, argument adder, handler), in the order `oseq --help` lists them
+_COMMANDS = {
+    "table": ("counts O_d and A_d for d = 1..D", _table_args, _cmd_table),
+    "count": ("count of O-sequences of one multiplicity", _count_args, _cmd_count),
+    "formula": ("restricted count for prefix class (p, n, k, d)", _formula_args, _cmd_formula),
+    "enumerate": ("stream O-sequences of multiplicity d", _enumerate_args, _cmd_enumerate),
+    "verify": ("run a verification suite", _verify_args, _cmd_verify),
+    "lexseg": ("sous-escalier of an O-sequence", _lexseg_args, _cmd_lexseg),
+    "oeis-check": ("compare small counts with the published OEIS sequence",
+                   _oeis_check_args, _cmd_oeis_check),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given a key of ``_COMMANDS``, of
+    that one alone, with the same usage, help and error text for it."""
     parser = argparse.ArgumentParser(
         prog="oseq",
         description="Enumerate, count and verify finite O-sequences by multiplicity.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-
-    p_table = sub.add_parser("table", help="counts O_d and A_d for d = 1..D")
-    p_table.add_argument("--max-d", type=int, required=True, dest="max_d", metavar="D")
-    add_format(p_table)
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_count = sub.add_parser("count", help="count of O-sequences of one multiplicity")
-    p_count.add_argument("d", type=int)
-    p_count.add_argument("--method", choices=["enum", "formula", "both"], default="both")
-    add_format(p_count)
-    p_count.set_defaults(handler=_cmd_count)
-
-    p_formula = sub.add_parser(
-        "formula", help="restricted count for prefix class (p, n, k, d)")
-    p_formula.add_argument("p", type=int)
-    p_formula.add_argument("n", type=int)
-    p_formula.add_argument("k", type=int)
-    p_formula.add_argument("d", type=int)
-    p_formula.add_argument("--cache", metavar="FILE")
-    p_formula.add_argument("--stats", action="store_true")
-    add_format(p_formula)
-    p_formula.set_defaults(handler=_cmd_formula)
-
-    p_enum = sub.add_parser("enumerate", help="stream O-sequences of multiplicity d")
-    p_enum.add_argument("d", type=int)
-    group = p_enum.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true",
-                       help="the default listing of every O-sequence; changes nothing")
-    group.add_argument("--last-gt-1", action="store_true", dest="last_gt_1")
-    p_enum.set_defaults(handler=_cmd_enumerate)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", required=True, choices=list(_SUITES))
-    p_verify.add_argument("--max-d", type=int, dest="max_d", metavar="D")
-    add_format(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
-    p_lexseg = sub.add_parser("lexseg", help="sous-escalier of an O-sequence")
-    p_lexseg.add_argument("h", metavar="h", help="comma-separated values, e.g. 1,2,2,1")
-    p_lexseg.add_argument("--vars", type=int, required=True, metavar="p")
-    p_lexseg.add_argument("--decompose", action="store_true")
-    add_format(p_lexseg)
-    p_lexseg.set_defaults(handler=_cmd_lexseg)
-
-    p_oeis = sub.add_parser("oeis-check", help="compare small counts with the "
-                                               "published OEIS sequence")
-    p_oeis.add_argument("--max-d", type=int, default=20, dest="max_d", metavar="D")
-    p_oeis.add_argument("--allow-network", action="store_true")
-    p_oeis.add_argument("--cache-dir", dest="cache_dir", metavar="DIR")
-    add_format(p_oeis)
-    p_oeis.set_defaults(handler=_cmd_oeis_check)
-
+    # the usage line of an "unrecognized arguments" error names every command
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        if name != "enumerate":  # which prints one CSV line per sequence
+            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+        p.set_defaults(handler=handler)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the full tree serves only no arguments, --help and an unknown command
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if sys.stdout is None:  # started with stdout closed: nothing can be written
         print(f"oseq {args.command}: stdout is closed", file=sys.stderr)
         return EXIT_IO

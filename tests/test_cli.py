@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import json
@@ -17,6 +18,7 @@ from oseq.cli import (
     EXIT_USAGE,
     LEXSEG_MAX_SLOTS,
     OEIS_BFILE_URL,
+    build_parser,
     default_cache_dir,
     fetch_oeis,
     parse_b_file,
@@ -682,3 +684,96 @@ class TestFailurePaths:
         got = invoke(capsys, ["oeis-check", "--max-d", "4", "--allow-network",
                               "--cache-dir", str(tmp_path)])
         assert (got[0], got[2]) == (code, err.replace("{tmp}", str(tmp_path)))
+
+
+COMMANDS = ["table", "count", "formula", "enumerate", "verify", "lexseg", "oeis-check"]
+TOP_USAGE = "usage: oseq [-h] {" + ",".join(COMMANDS) + "} ...\n"
+
+
+def outcome(capsys, call, argv):
+    """The exit code, stdout and stderr of ``call(argv)``, which argparse
+    ends with SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        call(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestArgparseSurface:
+    """run builds the named subcommand's parser alone; what argparse prints
+    must equal what the parser of every subcommand prints."""
+
+    def test_top_level_help(self, capsys):
+        got = outcome(capsys, run, ["--help"])
+        assert got == outcome(capsys, build_parser().parse_args, ["--help"])
+        code, out, err = got
+        assert (code, err) == (EXIT_OK, "")
+        assert out.startswith(TOP_USAGE)
+        assert all(f"\n    {name} " in out for name in COMMANDS)
+
+    @pytest.mark.parametrize("command, usage", [
+        ("table", "--max-d D [--format {text,json,csv}]"),
+        ("count", "[--method {enum,formula,both}] [--format {text,json,csv}] d"),
+        ("formula", "[--cache FILE] [--stats] [--format {text,json,csv}] p n k d"),
+        ("enumerate", "[--all | --last-gt-1] d"),
+        ("verify", "--suite {" + ",".join(cli._SUITES) + "} [--max-d D] "
+                   "[--format {text,json,csv}]"),
+        ("lexseg", "--vars p [--decompose] [--format {text,json,csv}] h"),
+        ("oeis-check", "[--max-d D] [--allow-network] [--cache-dir DIR] "
+                       "[--format {text,json,csv}]"),
+    ], ids=COMMANDS)
+    def test_subcommand_help(self, capsys, monkeypatch, command, usage):
+        monkeypatch.setenv("COLUMNS", "200")  # one usage line
+        got = outcome(capsys, run, [command, "--help"])
+        assert got == outcome(capsys, build_parser().parse_args, [command, "--help"])
+        assert got[0] == EXIT_OK and got[2] == ""
+        assert got[1].startswith(f"usage: oseq {command} [-h] {usage}\n")
+
+    @pytest.mark.parametrize("argv, first, last", [
+        ([], TOP_USAGE, "oseq: error: the following arguments are required: command\n"),
+        (["nosuch"], TOP_USAGE, "oseq: error: argument command: invalid choice: 'nosuch' "
+                                "(choose from " + ", ".join(map(repr, COMMANDS)) + ")\n"),
+        (["table"], "usage: oseq table [-h] --max-d D",
+         "oseq table: error: the following arguments are required: --max-d\n"),
+        (["verify", "--suite", "nope"], "usage: oseq verify [-h] --suite",
+         "oseq verify: error: argument --suite: invalid choice: 'nope' (choose from "),
+        (["enumerate", "3", "--all", "--last-gt-1"], "usage: oseq enumerate [-h]",
+         "oseq enumerate: error: argument --last-gt-1: not allowed with argument --all\n"),
+        (["formula", "1"], "usage: oseq formula [-h]",
+         "oseq formula: error: the following arguments are required: n, k, d\n"),
+        # reported by the top-level parser, whose usage line names every command
+        (["table", "--max-d", "3", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
+    ], ids=["bare", "unknown", "table-missing", "verify-choice", "enumerate-exclusive",
+            "formula-missing", "table-unrecognized"])
+    def test_usage_errors(self, capsys, argv, first, last):
+        got = outcome(capsys, run, argv)
+        assert got == outcome(capsys, build_parser().parse_args, argv)
+        code, out, err = got
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(first)
+        assert last in err and err.endswith("\n")
+
+    @pytest.fixture
+    def parsers_built(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    def test_one_subparser_per_command(self, capsys, parsers_built, monkeypatch):
+        assert invoke(capsys, ["table", "--max-d", "3"])[0] == EXIT_OK
+        assert len(parsers_built) == 2
+        monkeypatch.setattr(sys, "argv", ["oseq", "count", "5"])
+        assert invoke(capsys, None)[0] == EXIT_OK
+        assert len(parsers_built) == 4
+
+    @pytest.mark.parametrize("argv", [["--help"], ["nosuch"]], ids=["help", "unknown"])
+    def test_full_tree_otherwise(self, capsys, parsers_built, argv):
+        outcome(capsys, run, argv)
+        assert len(parsers_built) == 1 + len(COMMANDS)
