@@ -3,8 +3,8 @@
 Every check is an exact statement about integers or rationals; no
 floating-point value ever enters a comparison.  Golden-ratio bounds are
 stated in the algebraically equivalent form r * r <= r + 1.  Reports are
-pure functions of the count table, so identical tables serialize to
-byte-identical output.
+pure functions of their input, a count table or max_d, so equal inputs
+serialize to byte-identical output.
 """
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .counting import CountCache, count_restricted, count_via_formula
-from .enumerator import CountTable, Sequence, can_increment, iter_stems
+from .enumerator import CountTable, can_increment, iter_stems
 from .lexseg import exhaustive_count
-from .macaulay import is_o_sequence
+from .macaulay import growth_bound, is_o_sequence
 
 # Published reference values for d = 21..60, embedded verbatim.  The entry
 # at d = 35 is kept exactly as printed even though it contradicts the
@@ -285,45 +285,57 @@ def check_oracle_grid(max_d: int) -> VerificationReport:
     return report
 
 
-def _last_gt1_buckets(max_d: int) -> dict[int, list[Sequence]]:
-    """The O-sequences of multiplicity d whose last entry exceeds 1, in
-    lexicographic order, for every 3 <= d <= max_d, from one walk.
-
-    The walk to max_d visits every stem of mass at most max_d once, in the
-    order of each smaller walk; a stem longer than (1,) ends above 1."""
-    buckets: dict[int, list[Sequence]] = {d: [] for d in range(3, max_d + 1)}
-    for stem, rest in iter_stems(max_d):
-        if len(stem) > 1:
-            buckets[max_d - rest].append(stem)
-    return buckets
-
-
 def check_window_bijection(max_d: int) -> VerificationReport:
     """Every multiplicity-d member (d >= 5) of the last-entry-above-1 family
     comes from exactly one parent move: strip a trailing 2 (landing in the
     d-2 bucket) or decrement the last entry (landing in the d-1 bucket).
 
-    The buckets come from the depth-first lister, which does not use the
-    two moves, so the increment rule ``can_increment`` of the window is
-    checked against it.  The buckets hold every stem of mass up to max_d,
-    about 1.25 times more per unit of max_d, so max_d is capped at 40."""
+    Bucket d holds the stems of mass d but (1,) of one ``iter_stems(max_d)``
+    walk, which does not use the moves, so ``can_increment`` is checked
+    against it.  The check streams and keeps no bucket.  A bucket in
+    strictly increasing walk order repeats no stem.  In preorder a child's
+    stripped parent is the last stem one depth up and its decremented stem
+    the last at its own depth; both moves are injective, so these checks
+    and equal counts give the set equalities.  A stem's O-sequence verdict
+    extends its parent's by one step, or is ``is_o_sequence`` when the
+    last stem one depth up is not its parent.  The walk's time caps max_d
+    at 40."""
     if not 5 <= max_d <= 40:
-        raise ValueError(f"suite bijection needs 5 <= max_d <= 40 (stems in memory), got {max_d}")
-    buckets = _last_gt1_buckets(max_d)
+        raise ValueError(f"suite bijection needs 5 <= max_d <= 40 (walk time), got {max_d}")
+    n, dups, oseqs, ends2, ends3, incr, bad2, bad3 = ([0] * (max_d + 1) for _ in range(8))
+    last = [()] * (max_d + 1)  # by bucket
+    at = [((), 0, False, False)] * (max_d + 1)  # by depth: stem, bucket, verdict, incrementable
+    for stem, rest in iter_stems(max_d):
+        t, d, v = len(stem) - 1, max_d - rest, stem[-1]
+        if not t:
+            at[0] = (stem, d, is_o_sequence(stem), False)
+            continue
+        parent = stem[:-1]
+        up, up_d, up_ok, _ = at[t - 1]
+        if up == parent:
+            ok = up_ok and v >= 1 and (t == 1 or v <= growth_bound(stem[-2], t - 1))
+        else:
+            ok = is_o_sequence(stem)
+        inc = can_increment(t, stem[-2], v)
+        dups[d] += stem <= last[d]
+        last[d] = stem
+        n[d] += 1
+        oseqs[d] += ok
+        incr[d] += inc
+        if v == 2:
+            ends2[d] += 1
+            bad2[d] += up != parent or up_d != d - 2
+        elif v >= 3:
+            ends3[d] += 1
+            prev, prev_d, _, prev_inc = at[t]
+            bad3[d] += prev != parent + (v - 1,) or prev_d != d - 1 or not prev_inc
+        at[t] = (stem, d, ok, inc)
     report = VerificationReport(suite="bijection", lo=5, hi=max_d)
     for d in range(5, max_d + 1):
-        children = buckets[d]
-        distinct = len(set(children)) == len(children)
-        report.add(d, "no child is produced twice", len(set(children)), len(children), distinct)
-        from_append = {c[:-1] for c in children if c[-1] == 2}
-        from_incr = {c[:-1] + (c[-1] - 1,) for c in children if c[-1] >= 3}
-        ok = sum(1 for c in children if is_o_sequence(c))
-        report.add(d, "every child is an O-sequence", ok, len(children), ok == len(children))
-        report.add(d, "append-2 children restore the d-2 bucket",
-                   len(from_append), len(buckets[d - 2]),
-                   from_append == set(buckets[d - 2]))
-        incrementable = {s for s in buckets[d - 1]
-                         if can_increment(len(s) - 1, s[-2], s[-1])}
+        report.add(d, "no child is produced twice", n[d] - dups[d], n[d], not dups[d])
+        report.add(d, "every child is an O-sequence", oseqs[d], n[d], oseqs[d] == n[d])
+        report.add(d, "append-2 children restore the d-2 bucket", ends2[d], n[d - 2],
+                   not bad2[d] and ends2[d] == n[d - 2])
         report.add(d, "increment children restore the d-1 extendable set",
-                   len(from_incr), len(incrementable), from_incr == incrementable)
+                   ends3[d], incr[d - 1], not bad3[d] and ends3[d] == incr[d - 1])
     return report

@@ -91,20 +91,6 @@ class OrderIdeal:
     def multiplicity(self) -> int:
         return len(self.terms)
 
-    @property
-    def socle_degree(self) -> int:
-        return len(self.degree_counts) - 1
-
-    def is_closed(self) -> bool:
-        """True iff every term's single-variable quotients are all present."""
-        for term in self.terms:
-            for i, e in enumerate(term):
-                if e > 0:
-                    quotient = term[:i] + (e - 1,) + term[i + 1 :]
-                    if quotient not in self.terms:
-                        return False
-        return True
-
     def sorted_terms(self) -> list[Term]:
         return sorted(self.terms, key=lambda t: (sum(t), lex_key(t)))
 

@@ -9,7 +9,9 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+from oseq.analysis import VerificationReport
 from oseq.counting import _resolve
+from oseq.enumerator import can_increment
 from oseq.lexseg import OrderIdeal
 from oseq.macaulay import binomial, growth_bound, is_o_sequence
 
@@ -198,6 +200,22 @@ def cellwise_exhaustive_count(p: int, n: int, k: int, d: int) -> int:
     return sum(_cellwise_prefix(seq, p, d) == k for seq in _cellwise_candidates(n, d))
 
 
+def socle_degree(ideal: OrderIdeal) -> int:
+    """The top degree of the ideal's terms."""
+    return len(ideal.degree_counts) - 1
+
+
+def is_closed(ideal: OrderIdeal) -> bool:
+    """True iff every term's single-variable quotients are all present."""
+    for term in ideal.terms:
+        for i, e in enumerate(term):
+            if e > 0:
+                quotient = term[:i] + (e - 1,) + term[i + 1 :]
+                if quotient not in ideal.terms:
+                    return False
+    return True
+
+
 class Classification(NamedTuple):
     socle_degree: int
     max_prefix: int
@@ -219,7 +237,7 @@ def classify(ideal: OrderIdeal) -> Classification:
     while k + 1 < len(counts) and counts[k + 1] == binomial(ideal.p + k, k + 1):
         k += 1
     return Classification(
-        socle_degree=ideal.socle_degree,
+        socle_degree=socle_degree(ideal),
         max_prefix=k,
         multiplicity=ideal.multiplicity,
     )
@@ -271,3 +289,36 @@ def stem_walk(d: int):
         top = rest if t == 0 else min(rest, growth_bound(stem[-1], t))
         # pushed largest first, so the smallest next entry is walked first
         stack.extend((stem + (v,), rest - v) for v in range(top, 1, -1))
+
+
+@lru_cache(maxsize=None)
+def last_gt1_bucket(d: int) -> tuple[tuple[int, ...], ...]:
+    """The O-sequences of multiplicity d whose last entry exceeds 1, in
+    lexicographic order, from their own ``stem_walk(d)``."""
+    return tuple(stem for stem, rest in stem_walk(d) if not rest and stem[-1] > 1)
+
+
+def reference_bijection_report(max_d: int) -> VerificationReport:
+    """``analysis.check_window_bijection`` by sets: each bucket is held
+    whole, the children of each move are collected and compared with the
+    bucket they should restore, and every child goes to ``is_o_sequence``.
+    The buckets come from ``stem_walk``, which shares no code with
+    ``iter_stems``; the increment rule is the window's ``can_increment``."""
+    buckets = {d: last_gt1_bucket(d) for d in range(3, max_d + 1)}
+    report = VerificationReport(suite="bijection", lo=5, hi=max_d)
+    for d in range(5, max_d + 1):
+        children = buckets[d]
+        distinct = len(set(children)) == len(children)
+        report.add(d, "no child is produced twice", len(set(children)), len(children), distinct)
+        from_append = {c[:-1] for c in children if c[-1] == 2}
+        from_incr = {c[:-1] + (c[-1] - 1,) for c in children if c[-1] >= 3}
+        ok = sum(1 for c in children if is_o_sequence(c))
+        report.add(d, "every child is an O-sequence", ok, len(children), ok == len(children))
+        report.add(d, "append-2 children restore the d-2 bucket",
+                   len(from_append), len(buckets[d - 2]),
+                   from_append == set(buckets[d - 2]))
+        incrementable = {s for s in buckets[d - 1]
+                         if can_increment(len(s) - 1, s[-2], s[-1])}
+        report.add(d, "increment children restore the d-1 extendable set",
+                   len(from_incr), len(incrementable), from_incr == incrementable)
+    return report

@@ -28,7 +28,7 @@ from oseq.enumerator import count_table
 from oseq.lexseg import decompose, exhaustive_count, sous_escalier
 
 from conftest import record_verdict
-from helpers import brute_sequences, classify
+from helpers import brute_sequences, classify, is_closed
 
 
 def _verdict(n: int, ok: bool, note: str = "") -> None:
@@ -165,7 +165,7 @@ def test_criterion_7_lex_segment_structure():
             a1 = h[1] if len(h) > 1 else 1
             for p in (a1, a1 + 1):
                 ideal = sous_escalier(h, p)
-                if not ideal.is_closed() or ideal.degree_counts != h:
+                if not is_closed(ideal) or ideal.degree_counts != h:
                     problems.append(("closure", h, p))
     for p in (2, 3):
         for d in range(1, 9):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +15,16 @@ from oseq.analysis import (
     check_sub_fibonacci,
     check_window_bijection,
     compare_reference,
-    _last_gt1_buckets,
 )
 from oseq.enumerator import CountTable, count_table
 
-from helpers import fibonacci_upto, stem_walk
+from helpers import fibonacci_upto, reference_bijection_report
+
+DATA = Path(__file__).parent / "data"
+
+OSEQ = "every child is an O-sequence"
+APPEND = "append-2 children restore the d-2 bucket"
+INCREMENT = "increment children restore the d-1 extendable set"
 
 
 class TestCountIdentities:
@@ -157,11 +163,104 @@ class TestCrossMethodSuites:
 
     @pytest.mark.parametrize("max_d", range(3, 25))
     def test_one_walk_buckets(self, max_d):
-        # the reference walk pushes whole stem tuples and shares no code
-        # with iter_stems, which the buckets are built from
-        assert _last_gt1_buckets(max_d) == {
-            d: [stem for stem, rest in stem_walk(d) if not rest and stem[-1] > 1]
-            for d in range(3, max_d + 1)}
+        # the streamed report against the set reference, which holds every
+        # bucket whole from its own walk; below 5 the suite refuses to walk
+        if max_d < 5:
+            with pytest.raises(ValueError, match="5 <= max_d <= 40"):
+                check_window_bijection(max_d)
+        else:
+            assert check_window_bijection(max_d).to_text() == reference_bijection_report(max_d).to_text()
+
+    def test_window_bijection_golden_40(self):
+        # the report at the cap, as the set-based suite printed it
+        report = check_window_bijection(40)
+        assert report.to_text() + "\n" == (DATA / "verify_bijection_40.txt").read_text(encoding="ascii")
+        assert report.to_json() + "\n" == (DATA / "verify_bijection_40.json").read_text(encoding="ascii")
+
+    def test_window_bijection_reuses_the_parent_verdict(self, monkeypatch):
+        # on a sound walk every stem but the root comes right after its parent
+        calls = []
+        is_o_sequence = analysis.is_o_sequence
+        monkeypatch.setattr(analysis, "is_o_sequence", lambda s: calls.append(s) or is_o_sequence(s))
+        assert check_window_bijection(max_d=14).passed
+        assert calls == [(1,)]
+
+    @staticmethod
+    def _failed_on_walk(monkeypatch, edit):
+        # the walk to 14 as a list of (stem, rest), edited in place by
+        # ``edit(stems, where)``; where(stem) is the stem's index
+        stems = list(analysis.iter_stems(14))
+        edit(stems, lambda stem: next(i for i, (s, _) in enumerate(stems) if s == stem))
+        monkeypatch.setattr(analysis, "iter_stems", lambda max_d: iter(stems))
+        return [(c.d, c.claim) for c in check_window_bijection(max_d=14).failures()]
+
+    def test_window_bijection_catches_a_dropped_stem(self, monkeypatch):
+        def drop(stems, where):
+            del stems[where((1, 3, 3))]
+
+        assert self._failed_on_walk(monkeypatch, drop) == [
+            (7, INCREMENT), (8, INCREMENT), (9, APPEND)]
+
+    def test_window_bijection_catches_a_stem_yielded_twice(self, monkeypatch):
+        def twice(stems, where):
+            i = where((1, 3, 3))
+            stems.insert(i, stems[i])
+
+        assert self._failed_on_walk(monkeypatch, twice) == [
+            (7, "no child is produced twice"), (7, INCREMENT), (8, INCREMENT), (9, APPEND)]
+
+    @pytest.mark.parametrize("stem, failed", [
+        # growth_bound(2, 1) = 3; its parent (1, 2) is the last stem at depth 1
+        pytest.param((1, 2, 4), [(7, OSEQ), (7, INCREMENT), (9, APPEND)], id="parent-given"),
+        # its parent (1, 2, 4) is never given, so is_o_sequence decides
+        pytest.param((1, 2, 4, 2), [(9, OSEQ), (9, APPEND), (10, INCREMENT), (11, APPEND)],
+                     id="parent-missing"),
+    ])
+    def test_window_bijection_catches_a_non_o_sequence(self, monkeypatch, stem, failed):
+        # the stem comes in its lexicographic place, just before (1, 3)
+        def inject(stems, where):
+            stems.insert(where((1, 3)), (stem, 14 - sum(stem)))
+
+        assert self._failed_on_walk(monkeypatch, inject) == failed
+
+    @pytest.mark.parametrize("first, second, failed", [
+        pytest.param((1, 11), (1, 11, 2), [(14, APPEND)], id="child-before-parent"),
+        pytest.param((1, 4, 8), (1, 4, 9), [(13, INCREMENT), (14, INCREMENT)],
+                     id="siblings-swapped"),
+    ])
+    def test_window_bijection_catches_a_walk_out_of_preorder(self, monkeypatch, first, second,
+                                                             failed):
+        # the same stems in every bucket, in the same order within each
+        def swap(stems, where):
+            i, j = where(first), where(second)
+            stems[i], stems[j] = stems[j], stems[i]
+
+        assert self._failed_on_walk(monkeypatch, swap) == failed
+
+    @pytest.mark.parametrize("first, second, claim", [
+        pytest.param((1, 6, 2, 2, 2), (1, 6, 3, 2, 2), APPEND, id="append"),
+        pytest.param((1, 12), (1, 13), INCREMENT, id="increment"),
+    ])
+    def test_window_bijection_catches_stems_in_the_wrong_bucket(self, monkeypatch, first, second,
+                                                                claim):
+        # two leaves in buckets 13 and 14 trade rests: every count stays, but
+        # each now sits one move above a bucket its parent is not in
+        def trade(stems, where):
+            i, j = where(first), where(second)
+            (a, ra), (b, rb) = stems[i], stems[j]
+            stems[i], stems[j] = (a, rb), (b, ra)
+
+        assert self._failed_on_walk(monkeypatch, trade) == [(13, claim), (14, claim)]
+
+    def test_window_bijection_catches_two_swapped_increment_verdicts(self, monkeypatch):
+        # (1, 2, 3) cannot grow and (1, 3, 2) can; swapping the two verdicts
+        # keeps the count of bucket 6, so only the check of (1, 3, 3) sees it
+        can_increment = analysis.can_increment
+        swapped = {(2, 2, 3), (2, 3, 2)}
+        monkeypatch.setattr(analysis, "can_increment",
+                            lambda *state: can_increment(*state) != (state in swapped))
+        assert [(c.d, c.claim) for c in check_window_bijection(14).failures()] == [
+            (7, INCREMENT)]
 
     def test_recursion(self, table20):
         report = check_recursion(table20)

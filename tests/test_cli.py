@@ -319,8 +319,8 @@ class TestVerify:
         assert invoke(capsys, ["verify", "--suite", "oracle", "--max-d", "13"])[0] == EXIT_USAGE
 
     def test_bijection_cap(self, capsys, monkeypatch):
-        # the buckets keep every stem up to --max-d, so the cap is checked
-        # before the walk starts
+        # the cap bounds the walk's time, so it is checked before the walk
+        # starts
         def refuse(d):
             raise AssertionError("walked")
 
@@ -594,7 +594,7 @@ PINNED_ERRORS = [
      "(exhaustive search), got 13\n"),
     (["verify", "--suite", "bijection", "--max-d", "41"], EXIT_USAGE,
      "oseq verify: --suite bijection: suite bijection needs 5 <= max_d <= 40 "
-     "(stems in memory), got 41\n"),
+     "(walk time), got 41\n"),
     (["verify", "--suite", "ratios", "--max-d", "5"], EXIT_USAGE,
      "oseq verify: --suite ratios: suite ratios needs a table up to at least d = 6, "
      "got max_d = 5\n"),
