@@ -137,11 +137,9 @@ def check_count_identities(table: CountTable) -> VerificationReport:
 
 
 def _fibonacci(limit: int) -> list[int]:
+    # limit >= 3: check_sub_fibonacci's range guard runs first
     fib = [0] * (limit + 1)
-    if limit >= 1:
-        fib[1] = 1
-    if limit >= 2:
-        fib[2] = 1
+    fib[1] = fib[2] = 1
     for d in range(3, limit + 1):
         fib[d] = fib[d - 1] + fib[d - 2]
     return fib
@@ -219,29 +217,24 @@ def check_ratios(table: CountTable) -> VerificationReport:
     return report
 
 
-def compare_reference(table: CountTable, reference: dict[int, int] | None = None) -> VerificationReport:
-    """Computed O_d against the published reference values.
+def compare_reference(table: CountTable) -> VerificationReport:
+    """Computed O_d against the published values, REFERENCE_O_VALUES.
 
     A reference entry marked suspect is still compared verbatim, and the
     mismatch is additionally flagged as a presumed misprint; the computed
     value is authoritative here, bracketed by O_{d-1} <= O_d <= O_{d-1} +
-    O_{d-2} when the neighbors are available.
+    O_{d-2}.
     """
-    if reference is None:
-        reference = REFERENCE_O_VALUES
     report = VerificationReport(suite="table", lo=1, hi=table.max_d)
-    for d in sorted(reference):
+    for d, expected in sorted(REFERENCE_O_VALUES.items()):
         if d > table.max_d:
             continue
-        expected = reference[d]
         computed = table.O[d]
         report.add(d, "computed O_d = reference O_d", computed, expected, computed == expected)
         if d in SUSPECT_REFERENCE_ENTRIES and computed != expected:
-            lo = table.O[d - 1] if d - 1 >= 1 else None
-            hi = (table.O[d - 1] + table.O[d - 2]) if d - 2 >= 1 else None
             report.flag(d, f"reference prints {expected}, which violates monotonicity; "
                            f"presumed misprint, computed {computed} lies in "
-                           f"[{lo}, {hi}]")
+                           f"[{table.O[d - 1]}, {table.O[d - 1] + table.O[d - 2]}]")
     return report
 
 

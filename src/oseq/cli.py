@@ -135,19 +135,15 @@ def _at_least(least: int, name: str, value: int) -> int:
 def _emit_rows(rows: list[dict], fmt: str, columns: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(rows, indent=2))
-    elif fmt == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(["" if row.get(c) is None else row.get(c) for c in columns])
+        return
+    table = [columns] + [["" if row.get(c) is None else str(row[c]) for c in columns]
+                         for row in rows]
+    if fmt == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table)
     else:
-        widths = {
-            c: max([len(c)] + [len(str(row.get(c, ""))) for row in rows]) for c in columns
-        }
-        print("  ".join(c.rjust(widths[c]) for c in columns))
-        for row in rows:
-            cells = ["" if row.get(c) is None else str(row.get(c)) for c in columns]
-            print("  ".join(cell.rjust(widths[c]) for cell, c in zip(cells, columns)))
+        widths = [max(map(len, column)) for column in zip(*table)]
+        for line in table:
+            print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -179,11 +175,9 @@ def _cmd_formula(args: argparse.Namespace) -> int:
     n = _at_least(0, "n", args.n)
     k = _at_least(0, "k", args.k)
     d = _at_least(1, "d", args.d)
-    cache = CountCache()
     existed = bool(args.cache) and os.path.exists(args.cache)
     try:
-        if existed:
-            load_cache(args.cache, into=cache)
+        cache = load_cache(args.cache) if existed else CountCache()
         value = count_restricted(p, n, k, d, cache)
         # a query that stored no new key leaves an existing file untouched
         if args.cache and (cache.misses or not existed):
@@ -201,9 +195,7 @@ def _cmd_formula(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     d = _at_least(1, "d", args.d)
-    write = sys.stdout.write
-    for chunk in iter_text(d, args.last_gt_1):
-        write(chunk)
+    sys.stdout.writelines(iter_text(d, args.last_gt_1))
     return EXIT_OK
 
 

@@ -271,17 +271,17 @@ def save_cache(cache: CountCache, path: str) -> None:
     write_atomic(path, "\n".join(lines) + "\n", "ascii")
 
 
-def load_cache(path: str, into: CountCache | None = None) -> CountCache:
-    """Read a persisted cache, merging into ``into`` when given.
+def load_cache(path: str) -> CountCache:
+    """Read a persisted cache into a new CountCache.
 
-    A key already present must carry the same count, otherwise the merge
-    fails with CacheCorruptionError; malformed lines, a key that _resolve
-    never returns (p >= 2 and 0 <= k <= n <= d - 1 hold for each), a
-    negative count and bytes that are not ASCII raise CacheFormatError.
-    A count of 0, which earlier versions stored for empty keys, is skipped:
-    ``_resolve`` settles every such key, so none is ever read.
+    A key listed twice with two counts raises CacheCorruptionError.
+    Malformed lines, a negative count, a key outside p >= 2 and
+    0 <= k <= n <= d - 1, and bytes that are not ASCII raise
+    CacheFormatError.  A key in that range that _resolve never returns
+    loads, and is never read.  A count of 0, which earlier versions stored
+    for empty keys, is skipped: ``_resolve`` settles every such key.
     """
-    cache = into if into is not None else CountCache()
+    cache = CountCache()
     try:
         with open(path, "r", encoding="ascii") as fh:
             first = fh.readline().rstrip("\n")

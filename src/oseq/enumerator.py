@@ -136,16 +136,16 @@ def iter_stems(d: int, leaf_rest: int = 1) -> Iterator[tuple[Sequence, int]]:
     d' (mass d - rest) are those of ``iter_stems(d')``, in the same order.
 
     A stem other than (1,) whose rest is at most ``leaf_rest`` comes out
-    without its descendants; the root is expanded whenever d > 2.  Every
-    entry after a_0 is at least 2, so at the default a stem with rest
-    below 2 has no child anyway, and makes no ``growth_bound`` lookup and
-    no stack frame.
+    without its descendants; the root is always expanded, and for d <= 2
+    it has no child.  Every entry after a_0 is at least 2, so at the
+    default a stem with rest below 2 has no child anyway, and makes no
+    ``growth_bound`` lookup and no stack frame.
     """
     if d < 1:
         raise ValueError(f"multiplicity must be positive, got {d}")
     yield (1,), d - 1
     # one frame per open stem: its untried entries, its rest and the stem
-    stack = [(iter(_entries(0, 1, d - 1)), d - 1, (1,))] if d > 2 else []
+    stack = [(iter(_entries(0, 1, d - 1)), d - 1, (1,))]
     while stack:
         entries, rest, stem = stack[-1]
         t = len(stack)

@@ -115,8 +115,9 @@ class TestReferenceComparison:
         assert report.passed
         assert not report.anomalies
 
-    def test_custom_reference_mismatch_is_plain_failure(self, table20):
-        report = compare_reference(table20, reference={12: 999})
+    def test_custom_reference_mismatch_is_plain_failure(self, table20, monkeypatch):
+        monkeypatch.setattr(analysis, "REFERENCE_O_VALUES", {12: 999})
+        report = compare_reference(table20)
         assert not report.passed
         assert [c.d for c in report.failures()] == [12]
         assert not report.anomalies

@@ -507,6 +507,11 @@ class TestOeisCheck:
         monkeypatch.setenv("OSEQ_CACHE_DIR", str(tmp_path))
         assert default_cache_dir() == str(tmp_path)
 
+    def test_default_cache_dir_home(self, monkeypatch, tmp_path):
+        monkeypatch.delenv("OSEQ_CACHE_DIR", raising=False)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        assert default_cache_dir() == str(tmp_path / ".cache" / "oseq")
+
 
 class TestFetchOeis:
     def test_import_leaves_urllib_request_out(self):
@@ -534,6 +539,15 @@ class TestFetchOeis:
         assert fetch_oeis(cache_dir=str(tmp_path)) == [(1, 1), (2, 1), (3, 2)]
         assert os.listdir(tmp_path) == ["b232476.txt"]
         assert (tmp_path / "b232476.txt").read_bytes() == body
+
+    def test_failed_save_names_the_copy(self, monkeypatch, tmp_path):
+        # the download parses, but its directory lies below a regular file
+        self.serve(monkeypatch, b"1 1\n2 1\n")
+        (tmp_path / "plain").write_text("")
+        cached = tmp_path / "plain" / "oseq" / "b232476.txt"
+        with pytest.raises(OSError) as raised:
+            fetch_oeis(cache_dir=str(cached.parent))
+        assert str(raised.value).startswith(f"{cached}: ")
 
 
 class TestDeterminism:

@@ -308,22 +308,22 @@ class TestCachePersistence:
         assert raw == b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,7\n"  # sorted keys, LF
 
     def test_merge_is_idempotent(self, tmp_path):
+        # a file that lists every key twice with the same count loads to the
+        # entries of the file itself
         cache = CountCache()
         count_restricted(3, 5, 1, 7, cache)
         path = tmp_path / "memo.cache"
         save_cache(cache, str(path))
-        merged = load_cache(str(path))
-        load_cache(str(path), into=merged)
-        assert merged.entries == cache.entries
+        header, *lines = path.read_text().splitlines(keepends=True)
+        twice = tmp_path / "twice.cache"
+        twice.write_text(header + "".join(lines + lines))
+        assert load_cache(str(twice)).entries == load_cache(str(path)).entries == cache.entries
 
     def test_conflicting_merge_fails(self, tmp_path):
         path = tmp_path / "memo.cache"
-        path.write_text("# oseq-memo v1\n2,3,1,5,7\n")
-        cache = load_cache(str(path))
-        path.write_text("# oseq-memo v1\n2,1,0,2,1\n2,3,1,5,8\n")
+        path.write_text("# oseq-memo v1\n2,3,1,5,7\n2,3,1,5,8\n")
         with pytest.raises(CacheCorruptionError, match=re.escape(f"{path}:3: ")):
-            load_cache(str(path), into=cache)
-        assert cache.entries[(2, 3, 1, 5)] == 7
+            load_cache(str(path))
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "memo.cache"
@@ -352,6 +352,16 @@ class TestCachePersistence:
         path.write_text(f"# oseq-memo v1\n2,1,0,2,1\n{line}\n")
         with pytest.raises(CacheFormatError, match=re.escape(f"{path}:3: ")):
             load_cache(str(path))
+
+    def test_in_range_keys_the_recursion_never_stores_load_unread(self, tmp_path):
+        # p > d at k = 0 (_resolve caps p to d) and a forced prefix C(3, 1)
+        # above d = 2: both pass the range check, and neither is ever read
+        path = tmp_path / "memo.cache"
+        path.write_text("# oseq-memo v1\n5,1,0,3,7\n2,1,1,2,7\n")
+        loaded = load_cache(str(path))
+        assert len(loaded) == 2
+        for key, expected in [((5, 1, 0, 3), 1), ((2, 1, 1, 2), 0), ((3, 4, 1, 6), 2)]:
+            assert count_restricted(*key, loaded) == count_restricted(*key) == expected
 
     def test_non_ascii_byte(self, tmp_path):
         path = tmp_path / "memo.cache"

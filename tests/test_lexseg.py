@@ -39,6 +39,11 @@ class TestTermOrder:
         assert terms == sorted(terms, key=lambda m: m[::-1])
         assert terms == first_lex_terms(t, p, len(terms))
 
+    def test_no_variable_raises_and_negative_degree_is_empty(self):
+        with pytest.raises(ValueError, match="p=0"):
+            next(terms_of_degree(2, 0))
+        assert list(terms_of_degree(-1, 2)) == []
+
     def test_smallest_term_is_first_variable_power(self):
         for t in range(1, 5):
             assert next(terms_of_degree(t, 3)) == (t, 0, 0)
@@ -93,6 +98,9 @@ class TestSousEscalier:
             OrderIdeal(p=2, terms=frozenset({(1, 0, 0)}))
         with pytest.raises(ValueError):
             OrderIdeal(p=2, terms=frozenset({(-1, 0)}))
+
+    def test_empty_ideal_has_no_degree_counts(self):
+        assert OrderIdeal(p=2, terms=frozenset()).degree_counts == ()
 
 
 class TestClassify:
