@@ -26,7 +26,11 @@ to C(p + k, k) occurs.  The recursion creates only nonempty keys.
 """
 from __future__ import annotations
 
+import io
+import json
+import operator
 import os
+import re
 from dataclasses import dataclass, field
 
 from .macaulay import binomial
@@ -34,6 +38,8 @@ from .macaulay import binomial
 Key = tuple[int, int, int, int]
 
 _HEADER = "# oseq-memo v1"
+# the body save_cache writes: five unsigned decimal fields a line, each line ending in LF
+_CANONICAL_BODY = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
 
 
 class CacheFormatError(Exception):
@@ -274,40 +280,84 @@ def save_cache(cache: CountCache, path: str) -> None:
 def load_cache(path: str) -> CountCache:
     """Read a persisted cache into a new CountCache.
 
-    A key listed twice with two counts raises CacheCorruptionError.
-    Malformed lines, a negative count, a key outside p >= 2 and
-    0 <= k <= n <= d - 1, and bytes that are not ASCII raise
-    CacheFormatError.  A key in that range that _resolve never returns
-    loads, and is never read.  A count of 0, which earlier versions stored
-    for empty keys, is skipped: ``_resolve`` settles every such key.
+    The whole file is read and decoded at once; a byte that is not ASCII
+    raises CacheFormatError.  A file as ``save_cache`` writes it (the
+    header, then ``p,n,k,d,count`` lines of plain decimal digits, each
+    ending in LF, with no key twice and every key in range) is checked and
+    parsed in bulk.  Any other file, such as one with blank lines, CR or
+    CRLF line ends, leading zeros or a key listed twice with one count,
+    goes to the line loop, which names the first line at fault: a key
+    listed twice with two counts raises CacheCorruptionError, and
+    malformed lines, a negative count and a key outside p >= 2 and
+    0 <= k <= n <= d - 1 raise CacheFormatError.  Both paths load the same
+    entries from a file.  Its last byte must be LF, as ``save_cache``
+    writes it, so a file cut inside its last line raises CacheFormatError;
+    a cut on a line boundary is not detected.  A key in range that
+    _resolve never returns loads, and is never read.  A count of 0, which
+    earlier versions stored for empty keys, is skipped: ``_resolve``
+    settles every such key.
     """
-    cache = CountCache()
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            first = fh.readline().rstrip("\n")
-            if first != _HEADER:
-                raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
-            for lineno, raw in enumerate(fh, start=2):
-                line = raw.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split(",")
-                if len(fields) != 5:
-                    raise CacheFormatError(
-                        f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-                try:
-                    p, n, k, d, count = map(int, fields)
-                except ValueError as exc:
-                    raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
-                if count < 0 or p < 2 or not 0 <= k <= n < d:
-                    raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
-                if not count:
-                    continue
-                try:
-                    cache.insert((p, n, k, d), count)
-                except CacheCorruptionError as exc:
-                    raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        # the file is decoded as it is read, so a stray byte surfaces here
         raise CacheFormatError(f"{path}: not an ASCII memo file: {exc}") from None
+    cache = _load_canonical(text)
+    return _load_lines(path, text) if cache is None else cache
+
+
+def _load_canonical(text: str) -> CountCache | None:
+    """The cache in a file as ``save_cache`` writes it, parsed and checked
+    as whole lists, or None when any bulk test fails."""
+    start = len(_HEADER) + 1
+    if not text.startswith(_HEADER + "\n") or not _CANONICAL_BODY.fullmatch(text, start):
+        return None
+    try:
+        values = json.loads("[" + text[start:-1].replace("\n", ",") + "]")
+    except ValueError:  # a leading zero, or more digits than int() takes
+        return None
+    ps, ns, ks, ds, counts = (values[i::5] for i in range(5))
+    entries = dict(zip(zip(ps, ns, ks, ds), counts))
+    # the pattern admits no sign, so k >= 0 and every count >= 0
+    if (len(entries) < len(counts) or min(ps, default=2) < 2
+            or not all(map(operator.le, ks, ns)) or not all(map(operator.lt, ns, ds))):
+        return None
+    if 0 in counts:
+        entries = {key: count for key, count in entries.items() if count}
+    return CountCache(entries)
+
+
+def _load_lines(path: str, text: str) -> CountCache:
+    """The cache in any file, read line by line as in universal-newline
+    mode, with the first line at fault named in the error."""
+    cache = CountCache()
+    fh = io.StringIO(text, newline=None)
+    first = fh.readline().rstrip("\n")
+    if first != _HEADER:
+        raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
+    lineno, line = 1, first
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise CacheFormatError(
+                f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
+        try:
+            p, n, k, d, count = map(int, fields)
+        except ValueError as exc:
+            raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
+        if count < 0 or p < 2 or not 0 <= k <= n < d:
+            raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
+        if not count:
+            continue
+        try:
+            cache.insert((p, n, k, d), count)
+        except CacheCorruptionError as exc:
+            raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
+    if not text.endswith("\n"):
+        raise CacheFormatError(
+            f"{path}:{lineno}: last line {line!r} has no LF; the file looks cut short")
     return cache

@@ -199,6 +199,22 @@ class TestFormula:
         assert f"{cache}:2: " in err
         assert cache.read_text() == f"# oseq-memo v1\n{line}\n"
 
+    def test_cache_cut_mid_line_exits_3(self, capsys, tmp_path):
+        # (5, 29, 2, 30) is the file's largest key, so it is saved last;
+        # cut short, its line reads a count of 3 for 31
+        cache = tmp_path / "memo.txt"
+        argv = ["formula", "5", "29", "2", "30", "--cache", str(cache)]
+        code, out, _ = invoke(capsys, argv)
+        assert (code, out.splitlines()[1].split()[4]) == (EXIT_OK, "31")
+        raw = cache.read_bytes()
+        assert raw.endswith(b"\n5,29,2,30,31\n")
+        cache.write_bytes(raw[:-2])
+        lineno = raw.count(b"\n")
+        assert invoke(capsys, argv) == (
+            EXIT_IO, "", f"oseq formula: cache: {cache}:{lineno}: last line '5,29,2,30,3' "
+                         "has no LF; the file looks cut short\n")
+        assert cache.read_bytes() == raw[:-2]
+
     def test_negative_parameter(self, capsys):
         assert invoke(capsys, ["formula", "3", "8", "1", "-1"])[0] == EXIT_USAGE
 

@@ -27,6 +27,19 @@ from helpers import (
 )
 
 DATA = Path(__file__).parent / "data"
+HEADER = "# oseq-memo v1\n"
+
+
+def memo_start_cache() -> CountCache:
+    """The keys of the memo benchmark's starting file: every
+    count_restricted(p, d - 1, k, d) for d = 4..30, p = 2..5, k = 0..2."""
+    cache = CountCache()
+    for d in range(4, 31):
+        for p in range(2, 6):
+            for k in range(3):
+                count_restricted(p, d - 1, k, d, cache)
+    return cache
+
 
 # the recursion's two-variable count summed over prefix lengths, for
 # d = 1..12, frozen from the constrained enumeration oracle (all
@@ -399,3 +412,121 @@ class TestCachePersistence:
         assert warm.misses == 0
         assert count_restricted(4, 8, 1, 10, warm) == first
         assert warm.misses == 0  # zero expansions on the warm run
+
+    def test_file_cut_mid_line_is_refused(self, tmp_path):
+        # the memo benchmark's starting file less its last 2 bytes ends in
+        # `5,29,2,30,3`, a line in range that would answer 3 for a count of 31
+        path = tmp_path / "memo.cache"
+        save_cache(memo_start_cache(), str(path))
+        raw = path.read_bytes()
+        assert raw.endswith(b"\n5,29,2,30,31\n") and count_restricted(5, 29, 2, 30) == 31
+        path.write_bytes(raw[:-2])
+        lineno = raw.count(b"\n")
+        with pytest.raises(CacheFormatError,
+                           match=re.escape(f"{path}:{lineno}: last line '5,29,2,30,3' has no LF")):
+            load_cache(str(path))
+
+    @pytest.mark.parametrize("text", [HEADER[:-1], HEADER + "2,1,0,2,1\r", HEADER + "\n2,1,0,2,1"],
+                             ids=["header", "cr", "after-blank"])
+    def test_file_without_final_lf_is_refused(self, tmp_path, text):
+        path = tmp_path / "memo.cache"
+        path.write_bytes(text.encode())
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:") + r"\d+: last line"):
+            load_cache(str(path))
+
+
+def line_loop_outcome(path) -> list | tuple[type, str]:
+    """What load_cache gives for ``path`` with the bulk parse turned off:
+    the entries in order, or the type and message of the error."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_load_canonical", lambda text: None)
+        return load_outcome(path)
+
+
+def load_outcome(path) -> list | tuple[type, str]:
+    try:
+        return list(load_cache(str(path)).entries.items())
+    except (CacheFormatError, CacheCorruptionError) as exc:
+        return type(exc), str(exc)
+
+
+BODY = "2,1,0,2,1\n3,4,1,6,2\n"
+# whole files, most of them the canonical BODY with one change, written
+# as one byte per character
+VARIANTS = {
+    "blank-line": HEADER + "2,1,0,2,1\n\n3,4,1,6,2\n",
+    "crlf": (HEADER + BODY).replace("\n", "\r\n"),
+    "cr": (HEADER + BODY).replace("\n", "\r"),
+    "plus": HEADER + BODY + "2,3,1,5,+5\n",
+    "space": HEADER + BODY + "2,3,1,5, 5\n",
+    "leading-zero-count": HEADER + BODY + "2,3,1,5,07\n",
+    "leading-zero-key": HEADER + BODY + "02,3,1,5,7\n",
+    "underscore": HEADER + BODY + "2,3,1,5,1_0\n",
+    "equal-duplicate": HEADER + BODY + "2,1,0,2,1\n",
+    "conflicting-duplicate": HEADER + BODY + "2,1,0,2,9\n",
+    "zero-count": HEADER + BODY + "2,3,1,5,0\n",
+    "zero-and-nonzero": HEADER + "2,3,1,5,0\n" + BODY + "2,3,1,5,7\n",
+    "negative-count": HEADER + BODY + "2,3,1,5,-1\n",
+    "four-fields": HEADER + BODY + "2,3,1,5\n",
+    "six-fields": HEADER + BODY + "2,3,1,5,7,7\n",
+    # the lines 2,1,0,2,1 and 2,2,3,1,5 run together: a pattern that let a
+    # line end without LF would split them apart again, both in range
+    "nine-fields": HEADER + "2,1,0,2,12,2,3,1,5\n",
+    **{f"out-of-range-{line}": HEADER + BODY + line + "\n"
+       for line in ["3,8,1,9,-5", "1,0,0,0,7", "1,2,1,3,7", "2,3,1,3,7", "2,2,3,5,7",
+                    "2,-1,-1,5,7", "3,1,-1,5,7"]},
+    "header-only": HEADER,
+    "empty": "",
+    "bad-header": "# oseq-memo v0\n" + BODY,
+    "no-final-lf": HEADER + BODY[:-1],
+    "cut-field": HEADER + BODY[:-2],
+    "over-digit-limit": HEADER + BODY + "2,3,1,5," + "9" * 4301 + "\n",
+    "non-ascii": HEADER + BODY + "2,3,1,5,\xe9\n",
+}
+
+
+class TestBulkLoad:
+    """load_cache parses a file as save_cache writes it in bulk, and gives
+    every file the outcome of the line loop."""
+
+    @pytest.mark.parametrize("text", VARIANTS.values(), ids=VARIANTS.keys())
+    def test_variant_matches_line_loop(self, tmp_path, text):
+        path = tmp_path / "memo.cache"
+        path.write_bytes(text.encode("latin-1"))
+        assert load_outcome(path) == line_loop_outcome(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(-1, 12),
+                                     st.integers(-1, 12), st.integers(0, 14)),
+                           st.integers(-2, 10 ** 30), max_size=20))
+    def test_saved_cache_matches_line_loop(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("memo") / "memo.cache"
+        save_cache(CountCache(entries), str(path))
+        outcome = load_outcome(path)
+        assert outcome == line_loop_outcome(path)
+        if all(p >= 2 and 0 <= k <= n < d and count >= 0
+               for (p, n, k, d), count in entries.items()):
+            assert outcome == sorted((key, c) for key, c in entries.items() if c)
+
+    @pytest.mark.parametrize("make", [
+        CountCache,
+        lambda: CountCache({(2, 3, 1, 5): 7, (3, 4, 1, 6): 2}),
+        memo_start_cache,
+    ], ids=["empty", "two-keys", "memo-start"])
+    def test_saved_file_takes_the_bulk_path(self, tmp_path, monkeypatch, make):
+        # a regression to parsing line by line fails here
+        cache = make()
+        path = tmp_path / "memo.cache"
+        save_cache(cache, str(path))
+        monkeypatch.setattr(counting, "_load_lines", refuse_line_loop)
+        assert load_cache(str(path)).entries == cache.entries
+
+    def test_file_with_zero_lines_takes_the_bulk_path(self, monkeypatch):
+        old = DATA / "memo_v1_with_zeros.txt"
+        expected = line_loop_outcome(old)
+        monkeypatch.setattr(counting, "_load_lines", refuse_line_loop)
+        assert load_outcome(old) == expected
+
+
+def refuse_line_loop(path, text):
+    raise AssertionError(f"{path} went to the line loop")
