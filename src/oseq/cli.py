@@ -20,7 +20,6 @@ import sys
 
 from . import analysis
 from .counting import (
-    CacheCorruptionError,
     CacheFormatError,
     CountCache,
     count_restricted,
@@ -70,10 +69,9 @@ def default_cache_dir() -> str:
 def parse_b_file(text: str) -> list[tuple[int, int]]:
     """Parse ``index value`` lines; comments (#) and blanks are skipped.
 
-    Indices must be strictly increasing and values positive.
+    There must be at least one, with indices strictly increasing and values positive.
     """
     entries: list[tuple[int, int]] = []
-    previous: int | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -85,12 +83,13 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
             index, value = int(fields[0]), int(fields[1])
         except ValueError:
             raise BFileParseError(f"line {lineno}: non-integer field in {raw!r}") from None
-        if previous is not None and index <= previous:
+        if entries and index <= entries[-1][0]:
             raise BFileParseError(f"line {lineno}: index {index} not increasing")
         if value < 1:
             raise BFileParseError(f"line {lineno}: value {value} not positive")
         entries.append((index, value))
-        previous = index
+    if not entries:
+        raise BFileParseError("no 'index value' line")
     return entries
 
 
@@ -98,9 +97,9 @@ def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tupl
     """The entries of OEIS A232476, from the on-disk copy when present,
     otherwise fetched over HTTP and cached for later offline runs.
 
-    A download is parsed before it is saved, and saved atomically, so a
-    bad response raises BFileParseError and leaves no copy behind.  A copy
-    on disk that is not UTF-8 or does not parse raises BFileParseError too.
+    A download is parsed before it is saved, and saved atomically, so a bad
+    or empty response raises BFileParseError and leaves no copy behind.  A
+    copy on disk that is not UTF-8, does not parse or is empty raises it too.
     Every OSError or BFileParseError names the file or URL at fault."""
     import urllib.request  # only a download needs it, and it is slow to import
     directory = cache_dir if cache_dir is not None else default_cache_dir()
@@ -373,7 +372,7 @@ def run(argv: list[str] | None = None) -> int:
         # a failed final flush is a failed write like any other
         sys.stdout.flush()
         return code
-    except (CacheFormatError, CacheCorruptionError) as exc:
+    except CacheFormatError as exc:
         print(f"oseq {args.command}: cache: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

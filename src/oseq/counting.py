@@ -46,19 +46,16 @@ class CacheFormatError(Exception):
     """A persisted cache file does not follow the expected format."""
 
 
-class CacheCorruptionError(Exception):
-    """Two sources disagree on the count stored for the same key."""
-
-
 @dataclass
 class CountCache:
-    """Memo store mapping (p, n, k, d) to a count, with idempotent insertion.
+    """Memo store mapping (p, n, k, d) to a count.
 
-    ``insert`` is the one place a key is stored or a conflict refused.
-    ``hits`` counts reads of stored keys: a top-level query found stored,
-    and each factor a key's sum reads; ``misses`` counts keys that had to be
-    expanded.  A loaded file and a warm second run therefore show zero
-    misses.  Every stored count is positive.
+    ``_ensure`` stores each key once, when its sum is complete, and
+    ``load_cache`` builds a store from a file.  ``hits`` counts reads of
+    stored keys: a top-level query found stored, and each factor a key's sum
+    reads; ``misses`` counts keys that had to be expanded.  A loaded file
+    and a warm second run therefore show zero misses.  Every stored count
+    is positive.
     """
 
     entries: dict[Key, int] = field(default_factory=dict)
@@ -67,15 +64,6 @@ class CountCache:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, key: Key) -> bool:
-        return key in self.entries
-
-    def insert(self, key: Key, count: int) -> None:
-        """Store key -> count; re-inserting the same value is a no-op."""
-        old = self.entries.setdefault(key, count)
-        if old != count:
-            raise CacheCorruptionError(f"key {key} already maps to {old}, refusing to store {count}")
 
 
 def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
@@ -190,7 +178,7 @@ def _ensure(key: Key, cache: CountCache) -> None:
     (a key, its summands derived once on push, the index of the first pair
     not yet seen cached).  A frame descends into its next uncached factor,
     else is popped, its sum stored and its reads added to ``hits`` at once.
-    No key depends on itself, so each is pushed once.
+    No key depends on itself, so each is pushed once and stored once.
     """
     entries = cache.entries
     stack = [(key, _summands(key), 0)]
@@ -215,7 +203,7 @@ def _ensure(key: Key, cache: CountCache) -> None:
                     right = entries[right]
                 total += left * right
             cache.hits += reads
-            cache.insert(top, total)
+            entries[top] = total
             cache.misses += 1
 
 
@@ -226,7 +214,7 @@ def count_restricted(p: int, n: int, k: int, d: int, cache: CountCache | None = 
     if not isinstance(settled, tuple):
         return settled
     cache = cache if cache is not None else CountCache()
-    if settled in cache:
+    if settled in cache.entries:
         cache.hits += 1
     else:
         _ensure(settled, cache)
@@ -270,7 +258,7 @@ def save_cache(cache: CountCache, path: str) -> None:
     """Write the cache in the line format ``p,n,k,d,count``, keys ascending.
 
     The header line pins the format version; decimal ASCII, no spaces,
-    LF newlines, so files diff cleanly and merge deterministically.
+    LF newlines, so files diff cleanly.
     """
     lines = [_HEADER] + [f"{p},{n},{k},{d},{count}"
                          for (p, n, k, d), count in sorted(cache.entries.items())]
@@ -287,15 +275,14 @@ def load_cache(path: str) -> CountCache:
     parsed in bulk.  Any other file, such as one with blank lines, CR or
     CRLF line ends, leading zeros or a key listed twice with one count,
     goes to the line loop, which names the first line at fault: a key
-    listed twice with two counts raises CacheCorruptionError, and
-    malformed lines, a negative count and a key outside p >= 2 and
-    0 <= k <= n <= d - 1 raise CacheFormatError.  Both paths load the same
-    entries from a file.  Its last byte must be LF, as ``save_cache``
-    writes it, so a file cut inside its last line raises CacheFormatError;
-    a cut on a line boundary is not detected.  A key in range that
-    _resolve never returns loads, and is never read.  A count of 0, which
-    earlier versions stored for empty keys, is skipped: ``_resolve``
-    settles every such key.
+    listed twice with two counts, a malformed line, a negative count and a
+    key outside p >= 2 and 0 <= k <= n <= d - 1 raise CacheFormatError.
+    Both paths load the same entries from a file.  Its last byte must be
+    LF, as ``save_cache`` writes it, so a file cut inside its last line
+    raises CacheFormatError; a cut on a line boundary is not detected.  A
+    key in range that _resolve never returns loads, and is never read.  A
+    count of 0, which earlier versions stored for empty keys, is skipped:
+    ``_resolve`` settles every such key.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -331,7 +318,7 @@ def _load_canonical(text: str) -> CountCache | None:
 def _load_lines(path: str, text: str) -> CountCache:
     """The cache in any file, read line by line as in universal-newline
     mode, with the first line at fault named in the error."""
-    cache = CountCache()
+    entries: dict[Key, int] = {}
     fh = io.StringIO(text, newline=None)
     first = fh.readline().rstrip("\n")
     if first != _HEADER:
@@ -353,11 +340,12 @@ def _load_lines(path: str, text: str) -> CountCache:
             raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
         if not count:
             continue
-        try:
-            cache.insert((p, n, k, d), count)
-        except CacheCorruptionError as exc:
-            raise CacheCorruptionError(f"{path}:{lineno}: {exc}") from None
+        key = (p, n, k, d)
+        old = entries.setdefault(key, count)
+        if old != count:
+            raise CacheFormatError(
+                f"{path}:{lineno}: key {key} already maps to {old}, refusing to store {count}")
     if not text.endswith("\n"):
         raise CacheFormatError(
             f"{path}:{lineno}: last line {line!r} has no LF; the file looks cut short")
-    return cache
+    return CountCache(entries)

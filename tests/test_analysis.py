@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,17 @@ class TestRatios:
 
     def test_decrease_window(self):
         assert RATIO_DECREASE_RANGE == (6, 60)
+
+    def test_rise_beyond_the_window_is_flagged_apart(self):
+        # O_62 raised just past O_61^2 / O_60, so the ratio rises at d = 62
+        table = count_table(62)
+        o = table.O
+        o[62] = o[61] ** 2 // o[60] + 1
+        rise, before = Fraction(o[62], o[61]), Fraction(o[61], o[60])
+        report = check_ratios(table)
+        assert [a.d for a in report.anomalies] == [8, 9, 12, 62]
+        assert report.anomalies[-1].note == (
+            f"ratio decrease never examined beyond d = 60; violated here: {rise} >= {before}")
 
     def test_range_guard(self):
         with pytest.raises(ValueError):

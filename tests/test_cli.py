@@ -541,8 +541,8 @@ class TestFetchOeis:
         monkeypatch.setattr("urllib.request.urlopen",
                             lambda url, timeout: io.BytesIO(body))
 
-    @pytest.mark.parametrize("body", [b"<html>not a b-file</html>\n", b"1 1\n\xff\xfe 2\n"],
-                             ids=["html", "not-utf8"])
+    @pytest.mark.parametrize("body", [b"<html>not a b-file</html>\n", b"1 1\n\xff\xfe 2\n",
+                                      b""], ids=["html", "not-utf8", "empty"])
     def test_bad_download_is_not_saved(self, monkeypatch, tmp_path, body):
         self.serve(monkeypatch, body)
         with pytest.raises(BFileParseError):
@@ -638,6 +638,9 @@ PINNED_ERRORS = [
     (["oeis-check", "--max-d", "6"], EXIT_USAGE,
      "oseq oeis-check: network access is off by default; "
      "pass --allow-network to permit the HTTP fetch\n"),
+    (["formula", "3", "8", "1", "9", "--cache", "{tmp}/twice"], EXIT_IO,
+     "oseq formula: cache: {tmp}/twice:3: key (2, 3, 1, 5) already maps to 7, "
+     "refusing to store 8\n"),
 ]
 
 
@@ -648,6 +651,7 @@ class TestFailurePaths:
     def test_error_output_pinned(self, capsys, tmp_path, argv, code, err):
         (tmp_path / "v0").write_text("# oseq-memo v0\n")
         (tmp_path / "short").write_text("# oseq-memo v1\n2,3,1,5\n")
+        (tmp_path / "twice").write_text("# oseq-memo v1\n2,3,1,5,7\n2,3,1,5,8\n")
         argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
         assert invoke(capsys, argv) == (code, "", err.replace("{tmp}", str(tmp_path)))
 
@@ -706,8 +710,12 @@ class TestFailurePaths:
             ("1 1\n2 1\n3 2\n4 4\n", EXIT_MISMATCH, "oseq oeis-check: mismatch at d = 4\n"),
             ("1 one\n", EXIT_IO, "oseq oeis-check: {tmp}/b232476.txt: line 1: "
                                  "non-integer field in '1 one'\n"),
+            # what a copy cut short by a power loss may hold: it compares nothing
+            ("", EXIT_IO, "oseq oeis-check: {tmp}/b232476.txt: no 'index value' line\n"),
+            ("# A232476\n", EXIT_IO,
+             "oseq oeis-check: {tmp}/b232476.txt: no 'index value' line\n"),
         ],
-        ids=["mismatch", "malformed"],
+        ids=["mismatch", "malformed", "empty", "comment-only"],
     )
     def test_oeis_check_notes(self, capsys, tmp_path, text, code, err):
         (tmp_path / "b232476.txt").write_text(text, encoding="ascii")

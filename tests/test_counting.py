@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from oseq import counting
 from oseq.counting import (
-    CacheCorruptionError,
     CacheFormatError,
     CountCache,
     count_restricted,
@@ -276,14 +275,6 @@ class TestTwoVariable:
 
 
 class TestCountCache:
-    def test_insert_is_idempotent(self):
-        cache = CountCache()
-        cache.insert((2, 3, 1, 5), 7)
-        cache.insert((2, 3, 1, 5), 7)
-        assert len(cache) == 1
-        with pytest.raises(CacheCorruptionError):
-            cache.insert((2, 3, 1, 5), 8)
-
     def test_stats_fresh_then_warm(self):
         cache = CountCache()
         count_restricted(3, 8, 1, 9, cache)
@@ -297,9 +288,10 @@ class TestCountCache:
 
     def test_contains_and_len(self):
         cache = CountCache()
-        assert (1, 1, 1, 2) not in cache
+        assert len(cache) == 0
         count_restricted(3, 4, 1, 6, cache)
-        assert len(cache) > 0
+        assert (3, 4, 1, 6) in cache.entries
+        assert len(cache) == len(cache.entries) > 0
 
 
 class TestCachePersistence:
@@ -312,15 +304,13 @@ class TestCachePersistence:
         assert loaded.entries == cache.entries
 
     def test_file_format(self, tmp_path):
-        cache = CountCache()
-        cache.insert((2, 3, 1, 5), 7)
-        cache.insert((1, 2, 1, 2), 1)
+        cache = CountCache({(2, 3, 1, 5): 7, (1, 2, 1, 2): 1})
         path = tmp_path / "memo.cache"
         save_cache(cache, str(path))
         raw = path.read_bytes()
         assert raw == b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,7\n"  # sorted keys, LF
 
-    def test_merge_is_idempotent(self, tmp_path):
+    def test_key_listed_twice_with_one_count_loads_once(self, tmp_path):
         # a file that lists every key twice with the same count loads to the
         # entries of the file itself
         cache = CountCache()
@@ -332,10 +322,11 @@ class TestCachePersistence:
         twice.write_text(header + "".join(lines + lines))
         assert load_cache(str(twice)).entries == load_cache(str(path)).entries == cache.entries
 
-    def test_conflicting_merge_fails(self, tmp_path):
+    def test_key_listed_twice_with_two_counts_is_refused(self, tmp_path):
         path = tmp_path / "memo.cache"
         path.write_text("# oseq-memo v1\n2,3,1,5,7\n2,3,1,5,8\n")
-        with pytest.raises(CacheCorruptionError, match=re.escape(f"{path}:3: ")):
+        with pytest.raises(CacheFormatError, match=re.escape(
+                f"{path}:3: key (2, 3, 1, 5) already maps to 7, refusing to store 8")):
             load_cache(str(path))
 
     def test_bad_header(self, tmp_path):
@@ -446,7 +437,7 @@ def line_loop_outcome(path) -> list | tuple[type, str]:
 def load_outcome(path) -> list | tuple[type, str]:
     try:
         return list(load_cache(str(path)).entries.items())
-    except (CacheFormatError, CacheCorruptionError) as exc:
+    except CacheFormatError as exc:
         return type(exc), str(exc)
 
 
