@@ -278,6 +278,11 @@ def _cmd_oeis_check(args: argparse.Namespace) -> int:
         rows.append({"d": d, "computed": computed, "reference": expected,
                      "match": None if expected is None else computed == expected})
     _emit_rows(rows, args.format, ["d", "computed", "reference", "match"])
+    last = max(known)
+    if last < max_d:
+        rest = f"{last + 1}..{max_d}" if last + 1 < max_d else f"{max_d}"
+        print(f"oseq oeis-check: reference stops at d = {last}; d = {rest} not compared",
+              file=sys.stderr)
     bad = [str(r["d"]) for r in rows if r["match"] is False]
     if bad:
         print(f"oseq oeis-check: mismatch at d = {', '.join(bad)}", file=sys.stderr)

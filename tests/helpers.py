@@ -115,9 +115,10 @@ def first_lex_terms(t: int, p: int, count: int) -> list[tuple[int, ...]]:
 
 
 def full_grid_summands(key):
-    """Factor pairs of a memo key by the unbounded scan: every (i, j) cell,
-    each settled by ``counting._resolve``.  The reference for the loop
-    bounds of ``counting._summands``, which must keep exactly these pairs."""
+    """Summands of a memo key by the unbounded scan: every (i, j) cell, each
+    factor settled by ``counting._resolve``, in the shape of
+    ``counting._summands`` (ones, singles, lefts, rights), which must keep
+    exactly these cells in this order."""
     p, n, k, d = key
     pairs = []
     if k == 0:
@@ -125,14 +126,25 @@ def full_grid_summands(key):
             left = _resolve(p - 1, n, kk, d)
             if left != 0:
                 pairs.append((left, 1))
-        return pairs
-    for i in range(k, n + 1):
-        for j in range(1, d):
-            left = _resolve(p - 1, n, i, d - j)
-            right = _resolve(p, i - 1, k - 1, j)
-            if left != 0 and right != 0:
-                pairs.append((left, right))
-    return pairs
+    else:
+        for i in range(k, n + 1):
+            for j in range(1, d):
+                left = _resolve(p - 1, n, i, d - j)
+                right = _resolve(p, i - 1, k - 1, j)
+                if left != 0 and right != 0:
+                    pairs.append((left, right))
+    ones, singles, lefts, rights = 0, [], [], []
+    for left, right in pairs:
+        keys = [f for f in (left, right) if isinstance(f, tuple)]
+        assert (left, right).count(1) == 2 - len(keys)  # a factor that is not a key is 1
+        if len(keys) == 2:
+            lefts.append(left)
+            rights.append(right)
+        elif keys:
+            singles.append(keys[0])
+        else:
+            ones += 1
+    return ones, singles, lefts, rights
 
 
 def _guarded_key(p: int, n: int, k: int, d: int):

@@ -3,6 +3,7 @@ import errno
 import io
 import json
 import os
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -714,10 +715,19 @@ class TestFailurePaths:
             ("", EXIT_IO, "oseq oeis-check: {tmp}/b232476.txt: no 'index value' line\n"),
             ("# A232476\n", EXIT_IO,
              "oseq oeis-check: {tmp}/b232476.txt: no 'index value' line\n"),
+            # a copy cut short on a line boundary: rows 3 and 4 have no reference
+            ("1 1\n2 1\n", EXIT_OK,
+             "oseq oeis-check: reference stops at d = 2; d = 3..4 not compared\n"),
+            ("1 1\n2 1\n3 2\n", EXIT_OK,
+             "oseq oeis-check: reference stops at d = 3; d = 4 not compared\n"),
         ],
-        ids=["mismatch", "malformed", "empty", "comment-only"],
+        ids=["mismatch", "malformed", "empty", "comment-only", "short", "one-short"],
     )
-    def test_oeis_check_notes(self, capsys, tmp_path, text, code, err):
+    def test_oeis_check_notes(self, capsys, monkeypatch, tmp_path, text, code, err):
+        def no_socket(*args, **kwargs):
+            raise AssertionError("oeis-check opened a socket")
+
+        monkeypatch.setattr(socket, "socket", no_socket)
         (tmp_path / "b232476.txt").write_text(text, encoding="ascii")
         got = invoke(capsys, ["oeis-check", "--max-d", "4", "--allow-network",
                               "--cache-dir", str(tmp_path)])

@@ -1,4 +1,5 @@
 import re
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -124,25 +125,36 @@ class TestCountViaFormula:
         assert len(expanded) == len(cache) == cache.misses
 
 
-def _count_normalize_calls(monkeypatch):
-    # every cell, visited by _summands or settled by _resolve, ends in _normalize
-    calls = [0]
-    normalize = counting._normalize
+def _record_expansions(monkeypatch):
+    """The (key, summands) of every key _summands expands, in order."""
+    expanded = []
+    summands = counting._summands
 
-    def counted(*args):
-        calls[0] += 1
-        return normalize(*args)
+    def recorded(key):
+        expanded.append((key, summands(key)))
+        return expanded[-1][1]
 
-    monkeypatch.setattr(counting, "_normalize", counted)
-    return calls
+    monkeypatch.setattr(counting, "_summands", recorded)
+    return expanded
+
+
+def _cells(summands):
+    # one cell per term of the sum: a 1, a single factor or a pair
+    ones, singles, lefts, _ = summands
+    return ones + len(singles) + len(lefts)
+
+
+def _small_keys():
+    """Every nonempty memo key with p <= 6 and d <= 20."""
+    keys = {counting._resolve(p, n, k, d)
+            for p in range(1, 7) for d in range(1, 21)
+            for n in range(d + 1) for k in range(n + 1)}
+    return {key for key in keys if isinstance(key, tuple)}
 
 
 class TestSummandBounds:
     def test_equal_to_full_grid_scan(self):
-        keys = {counting._resolve(p, n, k, d)
-                for p in range(1, 7) for d in range(1, 21)
-                for n in range(d + 1) for k in range(n + 1)}
-        keys = {key for key in keys if isinstance(key, tuple)}
+        keys = _small_keys()
         assert len(keys) == 1960  # every nonempty key; 2 561 before the room test
         # the keys a cold O_24 expands, up to p = 24
         cache = CountCache()
@@ -151,30 +163,45 @@ class TestSummandBounds:
         for key in sorted(keys | set(cache.entries)):
             assert counting._summands(key) == full_grid_summands(key), key
 
+    def test_expanded_keys_within_prefix_and_room(self):
+        # _summands takes C(p + k - 1, k - 1) and C(p - 1 + k, k) uncapped,
+        # which is safe because every key it sees has C(p + k, k) <= d
+        cache = CountCache()
+        count_via_formula(60, cache)
+        assert len(cache) == 5073  # every key a cold O_60 expands
+        for p, n, k, d in _small_keys() | set(cache.entries):
+            assert comb(p + k, k) <= d <= comb(p + n, n) - comb(p + n - k - 1, p), (p, n, k, d)
+
     def test_cold_total_visits_few_cells(self, monkeypatch):
-        calls = _count_normalize_calls(monkeypatch)
+        expanded = _record_expansions(monkeypatch)
         assert count_via_formula(17) == 428
-        # 891, every one nonempty; 2 540 before the room bounds, 4 290 when a
-        # one-variable left factor was scanned over its whole i range,
-        # 25 966 for the full (j, i) grid
-        assert 800 < calls[0] <= 900
+        # 226 keys holding 470 cells, every one nonzero: 891 _normalize calls
+        # when each factor went through it, 2 540 before the room bounds,
+        # 4 290 when a one-variable left factor was scanned over its whole i
+        # range, 25 966 for the full (j, i) grid
+        assert (len(expanded), sum(_cells(s) for _, s in expanded)) == (226, 470)
 
     def test_one_variable_left_factor_visited_once(self, monkeypatch):
-        cells, zeros = [], []
-        normalize = counting._normalize
-
-        def watched(*args):
-            value = normalize(*args)
-            if args[0] == 1:
-                cells.append(args)
-                if value == 0:
-                    zeros.append(args)
-            return value
-
-        monkeypatch.setattr(counting, "_normalize", watched)
+        # a p = 2 key splits off a part in one variable, (1, 1, ..., 1), which
+        # is nonempty only at j = d - 1 - i: a p = 2 key holds no pair, and its
+        # cells name each j once and no empty one-variable part
+        expanded = _record_expansions(monkeypatch)
         assert count_via_formula(40) == 164347
-        assert len(cells) >= 1  # 8 716
-        assert zeros == []  # 88 584 when every i of such a factor was visited
+        cells = []
+        for (p, n, k, d), (ones, singles, lefts, _) in expanded:
+            if p != 2:
+                continue
+            assert lefts == []
+            if k == 0:
+                assert (ones, singles) == (1, [])
+                cells.append((n, d - 1, d))  # kk = d - 1
+                continue
+            js = [right[3] for right in singles] + [1] * ones  # at j = 1 both parts are 1
+            assert len(set(js)) == len(js)
+            cells += [(n, d - 1 - j, d - j) for j in js]
+        assert len(cells) == 4133
+        # 88 584 empty ones when every i of such a factor was visited
+        assert [cell for cell in cells if counting._resolve(1, *cell) != 1] == []
 
     def test_cold_stats_unchanged(self):
         cache = CountCache()
@@ -185,6 +212,7 @@ class TestSummandBounds:
         (24, 3279, (523, 1641, 523)),
         (40, 164347, (1843, 9523, 1843)),
         (60, 9469536, (5073, 39367, 5073)),
+        (100, 7130804911, (18301, 240128, 18301)),
     ])
     def test_cold_accounting_pinned(self, d, value, stats):
         # hits count every stored factor read; no stored key counts 0
@@ -192,11 +220,20 @@ class TestSummandBounds:
         assert count_via_formula(d, cache) == value
         assert (len(cache), cache.hits, cache.misses) == stats
 
+    def test_d100_equal_to_window(self):
+        assert count_table(100).O[100] == 7130804911
+
     def test_long_chain_visits_few_cells(self, monkeypatch):
-        calls = _count_normalize_calls(monkeypatch)
+        expanded = _record_expansions(monkeypatch)
         assert count_restricted(99, 98, 1, 100) == 1
-        # 197; the full (j, i) grid makes 328 349
-        assert 10 <= calls[0] <= 400
+        # 98 keys of one cell each: 197 _normalize calls when each factor
+        # went through it; the full (j, i) grid makes 328 349
+        assert (len(expanded), sum(_cells(s) for _, s in expanded)) == (98, 98)
+
+    def test_long_chain_at_d_2000(self):
+        cache = CountCache()
+        assert count_restricted(1999, 1998, 1, 2000, cache) == 1
+        assert len(cache) == 1998
 
 
 class TestEmptinessRule:
