@@ -26,11 +26,11 @@ to C(p + k, k) occurs.  The recursion creates only nonempty keys.
 """
 from __future__ import annotations
 
-import io
 import json
 import operator
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, repeat
 from math import comb
@@ -40,7 +40,7 @@ from .macaulay import binomial
 Key = tuple[int, int, int, int]
 
 _HEADER = "# oseq-memo v1"
-# the body save_cache writes: five unsigned decimal fields a line, each line ending in LF
+# the body save_cache writes, five decimal fields a line ending in LF; json.loads refuses 07
 _CANONICAL_BODY = re.compile(r"(?:[0-9]+,[0-9]+,[0-9]+,[0-9]+,[0-9]+\n)*")
 
 
@@ -68,24 +68,6 @@ class CountCache:
         return len(self.entries)
 
 
-def _normalize(p: int, n: int, k: int, d: int) -> int | Key:
-    """Settle a cell that passes the domain, prefix-mass and room tests of
-    ``_resolve``, or return its memo key.  Capping n at d - 1, and p at d when
-    k = 0 (at most d - 1 of the p variables can appear), keeps the memo
-    small without changing any stored fact.
-
-    In one variable the only sequence is (1, 1, ..., 1), whose prefix is
-    all of it, so it counts 1 exactly when k = d - 1 <= n.  Those tests
-    force that: the prefix mass k + 1 <= d and the room U(1, n, k) = k + 1
-    >= d (the bounds of ``_summands`` are the same), so a one-variable cell
-    that reaches here counts 1."""
-    if n >= d:
-        n = d - 1
-    if k == 0 and p > d:
-        p = d
-    return 1 if p == 1 else (p, n, k, d)
-
-
 def _room(p: int, n: int, k: int, d: int) -> tuple[int, int]:
     """(full, spare) with full - spare = U(p, n, k), the number of terms of
     degree <= n in p variables in which x_p has exponent <= k: full =
@@ -103,7 +85,7 @@ def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
     """Settle a query immediately or return its normalized memo key: no such
     object when any parameter leaves its domain, k exceeds the socle bound,
     the forced prefix alone exceeds the multiplicity or d exceeds the room
-    U(p, n, k), else as ``_normalize`` decides."""
+    U(p, n, k)."""
     if d <= 0 or p < 1 or n < 0 or k < 0 or k > n:
         return 0
     # the forced prefix sums to C(p-1+i, i) over i <= k, which is C(p+k, k)
@@ -112,7 +94,18 @@ def _resolve(p: int, n: int, k: int, d: int) -> int | Key:
     full, spare = _room(p, n, k, d)
     if full - spare < d:
         return 0
-    return _normalize(p, n, k, d)
+    # Capping n at d - 1, and p at d when k = 0 (at most d - 1 of the p
+    # variables can appear), keeps the memo small without changing any
+    # stored fact.  In one variable the only sequence is (1, 1, ..., 1),
+    # whose prefix is all of it, so it counts 1 exactly when k = d - 1 <= n.
+    # The tests above force that: the prefix mass k + 1 <= d and the room
+    # U(1, n, k) = k + 1 >= d (the bounds of ``_summands`` are the same), so
+    # a one-variable cell that reaches here counts 1.
+    if n >= d:
+        n = d - 1
+    if k == 0 and p > d:
+        p = d
+    return 1 if p == 1 else (p, n, k, d)
 
 
 def _summands(key: Key) -> tuple[int, list[Key], list[Key], list[Key]]:
@@ -129,7 +122,7 @@ def _summands(key: Key) -> tuple[int, list[Key], list[Key], list[Key]]:
 
     The loop bounds are the emptiness rule of the module docstring, so every
     cell is nonzero; each loop caps n at the multiplicity less one and p at
-    the multiplicity when k = 0 itself, as ``_normalize`` would, and a
+    the multiplicity when k = 0 itself, as ``_resolve`` does, and a
     one-variable part counts 1.  A part in q variables, socle degree <= m
     and prefix length i is nonempty exactly when its forced mass
     C(q + i, i) <= its multiplicity <= U(q, m, i); both grow with i.  So
@@ -320,21 +313,14 @@ def save_cache(cache: CountCache, path: str) -> None:
 def load_cache(path: str) -> CountCache:
     """Read a persisted cache into a new CountCache.
 
-    The whole file is read and decoded at once; a byte that is not ASCII
-    raises CacheFormatError.  A file as ``save_cache`` writes it (the
-    header, then ``p,n,k,d,count`` lines of plain decimal digits, each
-    ending in LF, with no key twice and every key in range) is checked and
-    parsed in bulk.  Any other file, such as one with blank lines, CR or
-    CRLF line ends, leading zeros or a key listed twice with one count,
-    goes to the line loop, which names the first line at fault: a key
-    listed twice with two counts, a malformed line, a negative count and a
-    key outside p >= 2 and 0 <= k <= n <= d - 1 raise CacheFormatError.
-    Both paths load the same entries from a file.  Its last byte must be
-    LF, as ``save_cache`` writes it, so a file cut inside its last line
-    raises CacheFormatError; a cut on a line boundary is not detected.  A
-    key in range that _resolve never returns loads, and is never read.  A
-    count of 0, which earlier versions stored for empty keys, is skipped:
-    ``_resolve`` settles every such key.
+    Only a file as ``save_cache`` writes it loads, checked and parsed in
+    bulk: the header, then ``p,n,k,d,count`` lines of decimal digits with no
+    leading zero, each ending in LF, no key twice and every key in p >= 2
+    and 0 <= k <= n <= d - 1.  Any other file raises CacheFormatError that
+    names the file (a byte that is not ASCII, a wrong header) or the first
+    line at fault, so a file cut inside its last line is refused; a cut on a
+    line boundary is not detected.  A key in range that _resolve never
+    returns loads unread, and a count of 0 (from earlier versions) is skipped.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -342,62 +328,51 @@ def load_cache(path: str) -> CountCache:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise CacheFormatError(f"{path}: not an ASCII memo file: {exc}") from None
-    cache = _load_canonical(text)
-    return _load_lines(path, text) if cache is None else cache
-
-
-def _load_canonical(text: str) -> CountCache | None:
-    """The cache in a file as ``save_cache`` writes it, parsed and checked
-    as whole lists, or None when any bulk test fails."""
     start = len(_HEADER) + 1
-    if not text.startswith(_HEADER + "\n") or not _CANONICAL_BODY.fullmatch(text, start):
-        return None
+    if not text.startswith(_HEADER + "\n"):
+        if text == _HEADER:
+            raise _refusal(path, text, 0)
+        first = text[:start].partition("\n")[0]  # no longer than the header and its LF
+        raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
+    # the lines before offset stop parse; fault is the error for the line there
+    stop = (_CANONICAL_BODY.fullmatch(text, start) or _CANONICAL_BODY.match(text, start)).end()
+    fault = stop < len(text) and _refusal(path, text, stop)
     try:
-        values = json.loads("[" + text[start:-1].replace("\n", ",") + "]")
-    except ValueError:  # a leading zero, or more digits than int() takes
-        return None
+        values = json.loads("[" + text[start:stop - 1].replace("\n", ",") + "]")
+    except ValueError as exc:
+        # a leading zero ("[" shifts positions by one) or more digits than int()
+        # takes; json parses in order, so the lines before the field parse
+        at = (start + exc.pos - 1 if isinstance(exc, json.JSONDecodeError) else re.compile(
+            f"[0-9]{{{sys.get_int_max_str_digits() + 1}}}").search(text, start).start())
+        stop = text.rfind("\n", 0, at) + 1
+        fault = _refusal(path, text, stop, "a field has a leading zero or too many digits")
+        values = json.loads("[" + text[start:stop - 1].replace("\n", ",") + "]")
     ps, ns, ks, ds, counts = (values[i::5] for i in range(5))
     entries = dict(zip(zip(ps, ns, ks, ds), counts))
     # the pattern admits no sign, so k >= 0 and every count >= 0
     if (len(entries) < len(counts) or min(ps, default=2) < 2
             or not all(map(operator.le, ks, ns)) or not all(map(operator.lt, ns, ds))):
-        return None
+        entries = {}  # some line fails a test: name the first
+        for lineno, (p, n, k, d, count) in enumerate(zip(ps, ns, ks, ds, counts), start=2):
+            key = (p, n, k, d)
+            if p < 2 or not k <= n < d:
+                raise CacheFormatError(f"{path}:{lineno}: key {key} out of range")
+            if key in entries:
+                raise CacheFormatError(f"{path}:{lineno}: key {key} already maps to "
+                                       f"{entries[key]}, refusing to store {count}")
+            entries[key] = count
+    if fault:
+        raise fault
     if 0 in counts:
         entries = {key: count for key, count in entries.items() if count}
     return CountCache(entries)
 
 
-def _load_lines(path: str, text: str) -> CountCache:
-    """The cache in any file, read line by line as in universal-newline
-    mode, with the first line at fault named in the error."""
-    entries: dict[Key, int] = {}
-    fh = io.StringIO(text, newline=None)
-    first = fh.readline().rstrip("\n")
-    if first != _HEADER:
-        raise CacheFormatError(f"{path}: expected header {_HEADER!r}, got {first!r}")
-    lineno, line = 1, first
-    for lineno, raw in enumerate(fh, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise CacheFormatError(
-                f"{path}:{lineno}: expected 5 fields, got {len(fields)}")
-        try:
-            p, n, k, d, count = map(int, fields)
-        except ValueError as exc:
-            raise CacheFormatError(f"{path}:{lineno}: non-integer field") from exc
-        if count < 0 or p < 2 or not 0 <= k <= n < d:
-            raise CacheFormatError(f"{path}:{lineno}: key or count out of range")
-        if not count:
-            continue
-        key = (p, n, k, d)
-        old = entries.setdefault(key, count)
-        if old != count:
-            raise CacheFormatError(
-                f"{path}:{lineno}: key {key} already maps to {old}, refusing to store {count}")
-    if not text.endswith("\n"):
-        raise CacheFormatError(
-            f"{path}:{lineno}: last line {line!r} has no LF; the file looks cut short")
-    return CountCache(entries)
+def _refusal(path: str, text: str, at: int, reason: str = "") -> CacheFormatError:
+    """The error naming the line of ``text`` that starts at offset ``at``:
+    ``reason``, or by default why it is not five digit fields and an LF."""
+    line, lf, _ = text[at:].partition("\n")
+    reason = reason or (f"last line {line!r} has no LF; the file looks cut short" if not lf
+                        else "a field is not decimal digits" if line.count(",") == 4
+                        else f"expected 5 fields, got {line.count(',') + 1}")
+    return CacheFormatError(f"{path}:{text.count(chr(10), 0, at) + 1}: {reason}")

@@ -5,6 +5,7 @@ package's own code paths wherever the point is to cross-check them: the
 growth bound is obtained by extension counting over explicit monomial
 sets, never by binomial expansion.
 """
+import re
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -334,3 +335,45 @@ def reference_bijection_report(max_d: int) -> VerificationReport:
         report.add(d, "increment children restore the d-1 extendable set",
                    len(from_incr), len(incrementable), from_incr == incrementable)
     return report
+
+
+MEMO_HEADER = "# oseq-memo v1"
+
+
+def strict_line_loop(data: bytes) -> list | tuple[int | None, str]:
+    """A memo file read one line at a time, accepting only what
+    ``save_cache`` writes: the entries with nonzero counts in file order, or
+    (line, reason) for the first line at fault, with line None when the
+    encoding or the header is at fault.  The reason is a phrase of the
+    error that ``load_cache`` raises."""
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError:
+        return None, "not an ASCII memo file"
+    header, *lines = text.split("\n")
+    if header != MEMO_HEADER:
+        return None, "expected header"
+    if not lines:
+        return 1, "has no LF"
+    entries = {}
+    for lineno, line in enumerate(lines[:-1], start=2):
+        fields = line.split(",")
+        if len(fields) != 5:
+            return lineno, "expected 5 fields"
+        if not all(re.fullmatch("[0-9]+", field) for field in fields):
+            return lineno, "not decimal digits"
+        if any(len(field) > 1 and field[0] == "0" for field in fields):
+            return lineno, "leading zero"
+        try:
+            p, n, k, d, count = map(int, fields)
+        except ValueError:  # more digits than int() takes
+            return lineno, "too many digits"
+        key = (p, n, k, d)
+        if p < 2 or not 0 <= k <= n < d:
+            return lineno, "out of range"
+        if key in entries:
+            return lineno, "already maps to"
+        entries[key] = count
+    if lines[-1]:
+        return len(lines) + 1, "has no LF"
+    return [(key, count) for key, count in entries.items() if count]

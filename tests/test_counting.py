@@ -1,6 +1,8 @@
+import json
 import re
 from math import comb
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from helpers import (
     emptiness_rule,
     full_grid_summands,
     reference_count,
+    strict_line_loop,
     two_variable_count,
 )
 
@@ -175,7 +178,7 @@ class TestSummandBounds:
     def test_cold_total_visits_few_cells(self, monkeypatch):
         expanded = _record_expansions(monkeypatch)
         assert count_via_formula(17) == 428
-        # 226 keys holding 470 cells, every one nonzero: 891 _normalize calls
+        # 226 keys holding 470 cells, every one nonzero: 891 normalizations
         # when each factor went through it, 2 540 before the room bounds,
         # 4 290 when a one-variable left factor was scanned over its whole i
         # range, 25 966 for the full (j, i) grid
@@ -226,7 +229,7 @@ class TestSummandBounds:
     def test_long_chain_visits_few_cells(self, monkeypatch):
         expanded = _record_expansions(monkeypatch)
         assert count_restricted(99, 98, 1, 100) == 1
-        # 98 keys of one cell each: 197 _normalize calls when each factor
+        # 98 keys of one cell each: 197 normalizations when each factor
         # went through it; the full (j, i) grid makes 328 349
         assert (len(expanded), sum(_cells(s) for _, s in expanded)) == (98, 98)
 
@@ -347,17 +350,20 @@ class TestCachePersistence:
         raw = path.read_bytes()
         assert raw == b"# oseq-memo v1\n1,2,1,2,1\n2,3,1,5,7\n"  # sorted keys, LF
 
-    def test_key_listed_twice_with_one_count_loads_once(self, tmp_path):
-        # a file that lists every key twice with the same count loads to the
-        # entries of the file itself
+    def test_key_listed_twice_with_one_count_is_refused(self, tmp_path):
+        # a file that lists every key twice with the same count is not one
+        # save_cache writes: the first repeated line is named
         cache = CountCache()
         count_restricted(3, 5, 1, 7, cache)
         path = tmp_path / "memo.cache"
         save_cache(cache, str(path))
         header, *lines = path.read_text().splitlines(keepends=True)
-        twice = tmp_path / "twice.cache"
-        twice.write_text(header + "".join(lines + lines))
-        assert load_cache(str(twice)).entries == load_cache(str(path)).entries == cache.entries
+        path.write_text(header + "".join(lines + lines))
+        key, count = next(iter(sorted(cache.entries.items())))
+        with pytest.raises(CacheFormatError, match=re.escape(
+                f"{path}:{len(lines) + 2}: key {key} already maps to {count}, "
+                f"refusing to store {count}")):
+            load_cache(str(path))
 
     def test_key_listed_twice_with_two_counts_is_refused(self, tmp_path):
         path = tmp_path / "memo.cache"
@@ -454,28 +460,46 @@ class TestCachePersistence:
                            match=re.escape(f"{path}:{lineno}: last line '5,29,2,30,3' has no LF")):
             load_cache(str(path))
 
-    @pytest.mark.parametrize("text", [HEADER[:-1], HEADER + "2,1,0,2,1\r", HEADER + "\n2,1,0,2,1"],
-                             ids=["header", "cr", "after-blank"])
-    def test_file_without_final_lf_is_refused(self, tmp_path, text):
+    @pytest.mark.parametrize("text, error", [
+        (HEADER[:-1], r"1: last line '# oseq-memo v1' has no LF"),
+        (HEADER + "2,1,0,2,1\r", r"2: last line '2,1,0,2,1\\r' has no LF"),
+        # the blank line is at fault before the last one
+        (HEADER + "\n2,1,0,2,1", "2: expected 5 fields, got 1"),
+    ], ids=["header", "cr", "after-blank"])
+    def test_file_without_final_lf_is_refused(self, tmp_path, text, error):
         path = tmp_path / "memo.cache"
         path.write_bytes(text.encode())
-        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:") + r"\d+: last line"):
+        with pytest.raises(CacheFormatError, match=re.escape(f"{path}:") + error):
             load_cache(str(path))
 
 
-def line_loop_outcome(path) -> list | tuple[type, str]:
-    """What load_cache gives for ``path`` with the bulk parse turned off:
-    the entries in order, or the type and message of the error."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(counting, "_load_canonical", lambda text: None)
-        return load_outcome(path)
-
-
-def load_outcome(path) -> list | tuple[type, str]:
+def assert_matches_line_loop(path) -> None:
+    """load_cache loads the entries of the strict line loop from ``path``
+    in file order, or refuses the file naming the line loop's line and
+    reason."""
+    expected = strict_line_loop(path.read_bytes())
     try:
-        return list(load_cache(str(path)).entries.items())
+        loaded = list(load_cache(str(path)).entries.items())
     except CacheFormatError as exc:
-        return type(exc), str(exc)
+        assert isinstance(expected, tuple), exc
+        where, reason = expected
+        prefix = f"{path}: " if where is None else f"{path}:{where}: "
+        assert str(exc).startswith(prefix) and reason in str(exc), (str(exc), expected)
+    else:
+        assert loaded == expected
+
+
+def bulk_steps(monkeypatch) -> list[str]:
+    """The steps load_cache then takes, recorded: each full match of the
+    body pattern and each json parse.  The pattern's plain match, which
+    only a refusal needs, is left out, so a call to it fails."""
+    steps, body, loads = [], counting._CANONICAL_BODY, json.loads
+    monkeypatch.setattr(counting, "_CANONICAL_BODY", SimpleNamespace(
+        fullmatch=lambda *args: steps.append("fullmatch") or body.fullmatch(*args)))
+    monkeypatch.setattr(counting, "json", SimpleNamespace(
+        loads=lambda text: steps.append("loads") or loads(text),
+        JSONDecodeError=json.JSONDecodeError))
+    return steps
 
 
 BODY = "2,1,0,2,1\n3,4,1,6,2\n"
@@ -503,6 +527,11 @@ VARIANTS = {
     **{f"out-of-range-{line}": HEADER + BODY + line + "\n"
        for line in ["3,8,1,9,-5", "1,0,0,0,7", "1,2,1,3,7", "2,3,1,3,7", "2,2,3,5,7",
                     "2,-1,-1,5,7", "3,1,-1,5,7"]},
+    # two faults: the earlier line is named, whichever bulk step finds it
+    "range-then-sign": HEADER + "1,0,0,0,7\n2,3,1,5,+5\n",
+    "duplicate-then-leading-zero": HEADER + BODY + "2,1,0,2,1\n2,3,1,5,07\n",
+    "leading-zero-then-space": HEADER + "2,3,1,5,07\n2,3,1,5, 5\n",
+    "duplicate-then-no-final-lf": HEADER + BODY + "3,4,1,6,2\n2,3,1,5,7",
     "header-only": HEADER,
     "empty": "",
     "bad-header": "# oseq-memo v0\n" + BODY,
@@ -513,15 +542,40 @@ VARIANTS = {
 }
 
 
+# rows of VARIANTS that earlier versions loaded through a lenient line
+# loop, with the refusal each now meets
+HAND_EDITED = {
+    "blank-line": (3, "expected 5 fields, got 1"),
+    "crlf": (None, r"expected header '# oseq-memo v1', got '# oseq-memo v1\r'"),
+    "cr": (None, r"expected header '# oseq-memo v1', got '# oseq-memo v1\r'"),
+    "plus": (4, "a field is not decimal digits"),
+    "space": (4, "a field is not decimal digits"),
+    "leading-zero-count": (4, "a field has a leading zero"),
+    "leading-zero-key": (4, "a field has a leading zero"),
+    "underscore": (4, "a field is not decimal digits"),
+    "equal-duplicate": (4, "key (2, 1, 0, 2) already maps to 1, refusing to store 1"),
+    "zero-and-nonzero": (5, "key (2, 3, 1, 5) already maps to 0, refusing to store 7"),
+}
+
+
 class TestBulkLoad:
     """load_cache parses a file as save_cache writes it in bulk, and gives
-    every file the outcome of the line loop."""
+    every file the outcome of a strict line loop."""
 
     @pytest.mark.parametrize("text", VARIANTS.values(), ids=VARIANTS.keys())
     def test_variant_matches_line_loop(self, tmp_path, text):
         path = tmp_path / "memo.cache"
         path.write_bytes(text.encode("latin-1"))
-        assert load_outcome(path) == line_loop_outcome(path)
+        assert_matches_line_loop(path)
+
+    @pytest.mark.parametrize("name", HAND_EDITED)
+    def test_hand_edited_variant_is_refused(self, tmp_path, name):
+        where, error = HAND_EDITED[name]
+        path = tmp_path / "memo.cache"
+        path.write_bytes(VARIANTS[name].encode("latin-1"))
+        prefix = f"{path}: " if where is None else f"{path}:{where}: "
+        with pytest.raises(CacheFormatError, match=re.escape(prefix + error)):
+            load_cache(str(path))
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(st.tuples(st.integers(0, 6), st.integers(-1, 12),
@@ -530,11 +584,24 @@ class TestBulkLoad:
     def test_saved_cache_matches_line_loop(self, tmp_path_factory, entries):
         path = tmp_path_factory.mktemp("memo") / "memo.cache"
         save_cache(CountCache(entries), str(path))
-        outcome = load_outcome(path)
-        assert outcome == line_loop_outcome(path)
+        assert_matches_line_loop(path)
         if all(p >= 2 and 0 <= k <= n < d and count >= 0
                for (p, n, k, d), count in entries.items()):
-            assert outcome == sorted((key, c) for key, c in entries.items() if c)
+            assert list(load_cache(str(path)).entries.items()) == \
+                sorted((key, c) for key, c in entries.items() if c)
+
+    def test_byte_deleted_near_the_end_matches_line_loop(self, tmp_path):
+        # every single-byte deletion within the last three lines of the memo
+        # benchmark's starting file; a deleted digit of a count can leave a
+        # line in range, which loads with the wrong count
+        path = tmp_path / "memo.cache"
+        save_cache(memo_start_cache(), str(path))
+        raw = path.read_bytes()
+        tail = raw.splitlines(keepends=True)[-3:]
+        assert tail == [b"5,29,0,30,4907\n", b"5,29,1,30,2448\n", b"5,29,2,30,31\n"]
+        for at in range(len(raw) - len(b"".join(tail)), len(raw)):
+            path.write_bytes(raw[:at] + raw[at + 1:])
+            assert_matches_line_loop(path)
 
     @pytest.mark.parametrize("make", [
         CountCache,
@@ -542,19 +609,17 @@ class TestBulkLoad:
         memo_start_cache,
     ], ids=["empty", "two-keys", "memo-start"])
     def test_saved_file_takes_the_bulk_path(self, tmp_path, monkeypatch, make):
-        # a regression to parsing line by line fails here
+        # one full match and one json parse: a regression to parsing line by
+        # line, or to a step only a refusal needs, fails here
         cache = make()
         path = tmp_path / "memo.cache"
         save_cache(cache, str(path))
-        monkeypatch.setattr(counting, "_load_lines", refuse_line_loop)
+        steps = bulk_steps(monkeypatch)
         assert load_cache(str(path)).entries == cache.entries
+        assert steps == ["fullmatch", "loads"]
 
     def test_file_with_zero_lines_takes_the_bulk_path(self, monkeypatch):
         old = DATA / "memo_v1_with_zeros.txt"
-        expected = line_loop_outcome(old)
-        monkeypatch.setattr(counting, "_load_lines", refuse_line_loop)
-        assert load_outcome(old) == expected
-
-
-def refuse_line_loop(path, text):
-    raise AssertionError(f"{path} went to the line loop")
+        steps = bulk_steps(monkeypatch)
+        assert_matches_line_loop(old)
+        assert steps == ["fullmatch", "loads"]
