@@ -67,7 +67,8 @@ def default_cache_dir() -> str:
 
 
 def parse_b_file(text: str) -> list[tuple[int, int]]:
-    """Parse ``index value`` lines; comments (#) and blanks are skipped.
+    """Parse ``index value`` lines of ASCII decimal digits; comments (#) and
+    blanks are skipped.
 
     There must be at least one, with indices strictly increasing and values positive.
     """
@@ -80,8 +81,11 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
         if len(fields) != 2:
             raise BFileParseError(f"line {lineno}: expected 'index value', got {raw!r}")
         try:
+            # int() alone also takes a sign, an underscore or another script's digits
+            if not all(field.isascii() and field.isdigit() for field in fields):
+                raise ValueError
             index, value = int(fields[0]), int(fields[1])
-        except ValueError:
+        except ValueError:  # or more digits than int() converts
             raise BFileParseError(f"line {lineno}: non-integer field in {raw!r}") from None
         if entries and index <= entries[-1][0]:
             raise BFileParseError(f"line {lineno}: index {index} not increasing")

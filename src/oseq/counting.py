@@ -6,7 +6,8 @@ degree s <= n, whose maximal-growth prefix has length exactly k, i.e.
 a_i = C(p - 1 + i, i) for i <= k and a_i below that ceiling for k < i <= s.
 The recursion splits the sous-escalier of such a segment by divisibility
 by the dominant variable, which pairs each counted object with a product
-of two smaller ones.
+of two smaller ones; in two variables it drops one entry of the sequence
+instead (the box recurrence of ``_summands``).
 
 The total count of O-sequences of multiplicity d is the restricted count
 in d variables with prefix length 0 and unbounded socle degree (n = d - 1
@@ -113,12 +114,24 @@ def _summands(key: Key) -> tuple[int, list[Key], list[Key], list[Key]]:
     plus the counts of ``singles`` plus the products of the counts of
     ``lefts`` and ``rights`` taken in pairs.
 
-    For k = 0 the prefix condition only constrains degree 0, and dropping
-    the dominant variable leaves a segment in p - 1 variables with any
-    prefix length.  For k > 0 the split by dominant-variable divisibility
-    yields a multiplicity-(d - j) part in p - 1 variables with prefix
-    length i >= k, paired with a multiplicity-j part in p variables with
-    socle degree <= i - 1 and prefix length k - 1.
+    For p = 2 the count follows the box recurrence.  In two variables a
+    sequence is the prefix 1, 2, ..., k + 1 and then a nonincreasing tail
+    whose entries are at most k + 1, so for k = 0 there is one.  For k >= 1,
+    count(2, n, k, d) = count(2, n - 1, k - 1, d - k - 1) +
+    count(2, n - 1, k, d - k - 1): if the tail does not start with k + 1,
+    dropping a_k = k + 1 leaves a sequence with prefix length k - 1; if it
+    does, dropping that first tail entry leaves one with prefix length k.
+    Both maps are reversible and cut the socle degree by one and the
+    multiplicity by k + 1.  A term is kept when nonempty, C(k' + 2, 2) <=
+    d' <= U(2, n', k') = (k' + 1)(n' + 1) - C(k' + 1, 2), which also forces
+    k' <= n', and with k' = 0 it counts 1.
+
+    For p >= 3 and k = 0 the prefix condition only constrains degree 0,
+    and dropping the dominant variable leaves a segment in p - 1 variables
+    with any prefix length.  For k > 0 the split by dominant-variable
+    divisibility yields a multiplicity-(d - j) part in p - 1 variables with
+    prefix length i >= k, paired with a multiplicity-j part in p variables
+    with socle degree <= i - 1 and prefix length k - 1.
 
     The loop bounds are the emptiness rule of the module docstring, so every
     cell is nonzero; each loop caps n at the multiplicity less one and p at
@@ -137,17 +150,10 @@ def _summands(key: Key) -> tuple[int, list[Key], list[Key], list[Key]]:
     Every key here passed the prefix-mass test, so lo + C(p - 1 + k, k) =
     C(p + k, k) <= d and both are exact and small.  Masses and rooms run as
     exact products from their values at the first kk or i, and ``_room``
-    keeps the left room small.
-
-    For p = 2 the left part has one variable: U(1, n, i) = C(1 + i, i) =
-    i + 1, so each i has the one j = d - 1 - i, and with lo = C(k + 1, 2)
-    and U(2, i - 1, k - 1) = k * i - C(k, 2) the i run in closed form from
-    max(k, ceil((d - 1 + C(k, 2)) / (k + 1))) to min(n, d - 1 - lo); with
-    k = 0 the one kk is d - 1.  Those keys are most of the memo (76 610 of
-    105 873 at a cold O_200).  For p >= 3 the kk loop steps its running
-    products to its first kk with room before it lists any cell, and the i
-    loop steps over the i whose j interval is empty, 7 415 of its 59 464
-    steps at O_200, which costs less than a search for the first one.
+    keeps the left room small.  The kk loop steps its running products to
+    its first kk with room before it lists any cell, and the i loop steps
+    over the i whose j interval is empty, 7 415 of its 59 464 steps at
+    O_200, which costs less than a search for the first one.
     """
     p, n, k, d = key
     q = p - 1
@@ -155,24 +161,15 @@ def _summands(key: Key) -> tuple[int, list[Key], list[Key], list[Key]]:
     if p == 2:
         if k == 0:
             return 1, singles, [], []
-        lo = k * (k + 1) // 2
-        first = (d - 1 + lo) // (k + 1)  # ceil((d - 1 + C(k, 2)) / (k + 1)), as lo = C(k, 2) + k
-        if first < k:
-            first = k
-        last = d - 1 - lo
-        if last > n:
-            last = n
         ones = 0
-        if k == 1 and last == d - 2:  # j = 1: the right part has one variable too
-            ones, last = 1, d - 3
-        # the right part's socle degree min(i - 1, j - 1) is i - 1 up to i = (d - 1) // 2
-        mid = (d - 1) // 2
-        if first <= mid:
-            singles += zip(repeat(2), range(first - 1, mid if mid < last else last),
-                           repeat(k - 1), range(d - 1 - first, d - 2 - mid, -1))
-            first = mid + 1
-        singles += zip(repeat(2), range(d - 2 - first, d - 3 - last, -1),
-                       repeat(k - 1), range(d - 1 - first, d - 2 - last, -1))
+        d -= k + 1
+        n = (n if n < d else d) - 1
+        for kk in k - 1, k:
+            if (kk + 1) * (kk + 2) // 2 <= d <= (kk + 1) * (n + 1) - kk * (kk + 1) // 2:
+                if kk:
+                    singles.append((2, n, kk, d))
+                else:
+                    ones = 1
         return ones, singles, [], []
     # left room U(p - 1, n, i) = full - spare, spare = C(p - 2 + n - i, p - 1)
     full, spare = _room(q, n, k, d)

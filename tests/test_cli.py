@@ -138,8 +138,8 @@ class TestFormula:
     @pytest.mark.parametrize(
         "query, expected",
         [
-            (["3", "8", "1", "9"], {"count": 7, "hits": 13, "misses": 11, "cached_keys": 11}),
-            (["5", "20", "2", "25"], {"count": 5, "hits": 18, "misses": 15, "cached_keys": 15}),
+            (["3", "8", "1", "9"], {"count": 7, "hits": 13, "misses": 12, "cached_keys": 12}),
+            (["5", "20", "2", "25"], {"count": 5, "hits": 19, "misses": 16, "cached_keys": 16}),
         ],
         ids=["3-8-1-9", "5-20-2-25"],
     )
@@ -456,6 +456,13 @@ class TestBFileParsing:
     def test_garbage_line(self):
         with pytest.raises(BFileParseError) as exc:
             parse_b_file("1 1\nabc\n")
+        assert "line 2" in str(exc.value)
+
+    @pytest.mark.parametrize("line", ["2_0 5", "+3 3", "3 +3", "-1 5", "3 \u0663", "\uff13 3"])
+    def test_only_ascii_decimal_fields(self, line):
+        # int() reads "2_0" as 20, "+3" as 3 and the Arabic-Indic or fullwidth three as 3
+        with pytest.raises(BFileParseError) as exc:
+            parse_b_file(f"1 1\n{line}\n")
         assert "line 2" in str(exc.value)
 
     def test_non_increasing_indices(self):

@@ -157,13 +157,16 @@ def _small_keys():
 
 class TestSummandBounds:
     def test_equal_to_full_grid_scan(self):
+        # p = 2 keys follow the box recurrence, not the Linusson cells
         keys = _small_keys()
         assert len(keys) == 1960  # every nonempty key; 2 561 before the room test
         # the keys a cold O_24 expands, up to p = 24
         cache = CountCache()
         count_via_formula(24, cache)
-        assert len(cache) == 523
-        for key in sorted(keys | set(cache.entries)):
+        assert len(cache) == 401
+        keys = sorted(key for key in keys | set(cache.entries) if key[0] >= 3)
+        assert len(keys) == 1725
+        for key in keys:
             assert counting._summands(key) == full_grid_summands(key), key
 
     def test_expanded_keys_within_prefix_and_room(self):
@@ -171,51 +174,54 @@ class TestSummandBounds:
         # which is safe because every key it sees has C(p + k, k) <= d
         cache = CountCache()
         count_via_formula(60, cache)
-        assert len(cache) == 5073  # every key a cold O_60 expands
+        assert len(cache) == 2865  # every key a cold O_60 expands
         for p, n, k, d in _small_keys() | set(cache.entries):
             assert comb(p + k, k) <= d <= comb(p + n, n) - comb(p + n - k - 1, p), (p, n, k, d)
 
     def test_cold_total_visits_few_cells(self, monkeypatch):
         expanded = _record_expansions(monkeypatch)
         assert count_via_formula(17) == 428
-        # 226 keys holding 470 cells, every one nonzero: 891 normalizations
-        # when each factor went through it, 2 540 before the room bounds,
-        # 4 290 when a one-variable left factor was scanned over its whole i
-        # range, 25 966 for the full (j, i) grid
-        assert (len(expanded), sum(_cells(s) for _, s in expanded)) == (226, 470)
+        # 188 keys holding 330 cells, every one nonzero: 226 keys and 470
+        # cells when p = 2 keys listed their Linusson cells, 891
+        # normalizations when each factor went through it, 2 540 before the
+        # room bounds, 4 290 when a one-variable left factor was scanned over
+        # its whole i range, 25 966 for the full (j, i) grid
+        assert (len(expanded), sum(_cells(s) for _, s in expanded)) == (188, 330)
 
-    def test_one_variable_left_factor_visited_once(self, monkeypatch):
-        # a p = 2 key splits off a part in one variable, (1, 1, ..., 1), which
-        # is nonempty only at j = d - 1 - i: a p = 2 key holds no pair, and its
-        # cells name each j once and no empty one-variable part
-        expanded = _record_expansions(monkeypatch)
-        assert count_via_formula(40) == 164347
-        cells = []
-        for (p, n, k, d), (ones, singles, lefts, _) in expanded:
-            if p != 2:
-                continue
-            assert lefts == []
+    def test_two_variable_key_lists_its_nonempty_terms(self):
+        # count(2, n, k, d) = count(2, n - 1, k - 1, d - k - 1)
+        #                   + count(2, n - 1, k, d - k - 1) for k >= 1: a key
+        # lists exactly the nonempty terms, a term with prefix length 0 as a 1
+        keys = {counting._resolve(2, n, k, d)
+                for d in range(1, 40) for n in range(d) for k in range(n + 1)}
+        keys = sorted(key for key in keys if isinstance(key, tuple))
+        assert len(keys) == 2838
+        for key in keys:
+            _, n, k, d = key
+            ones, singles, lefts, rights = counting._summands(key)
+            assert lefts == rights == []
             if k == 0:
-                assert (ones, singles) == (1, [])
-                cells.append((n, d - 1, d))  # kk = d - 1
+                assert (ones, singles) == (1, []), key
                 continue
-            js = [right[3] for right in singles] + [1] * ones  # at j = 1 both parts are 1
-            assert len(set(js)) == len(js)
-            cells += [(n, d - 1 - j, d - j) for j in js]
-        assert len(cells) == 4133
-        # 88 584 empty ones when every i of such a factor was visited
-        assert [cell for cell in cells if counting._resolve(1, *cell) != 1] == []
+            terms = [(n - 1, kk, d - k - 1) for kk in (k - 1, k)]
+            terms = [term for term in terms if two_variable_count(*term) > 0]
+            assert ones == sum(term[1] == 0 for term in terms), key
+            assert singles == [counting._resolve(2, *term) for term in terms if term[1]], key
+            # the identity itself, a term of prefix length 0 counting 1
+            assert sum(two_variable_count(*term) for term in terms) == \
+                two_variable_count(n, k, d), key
+            assert all(two_variable_count(*term) == 1 for term in terms if term[1] == 0)
 
     def test_cold_stats_unchanged(self):
         cache = CountCache()
         count_via_formula(17, cache)
-        assert (len(cache), cache.hits, cache.misses) == (226, 518, 226)
+        assert (len(cache), cache.hits, cache.misses) == (188, 387, 188)
 
     @pytest.mark.parametrize("d, value, stats", [
-        (24, 3279, (523, 1641, 523)),
-        (40, 164347, (1843, 9523, 1843)),
-        (60, 9469536, (5073, 39367, 5073)),
-        (100, 7130804911, (18301, 240128, 18301)),
+        (24, 3279, (401, 1119, 401)),
+        (40, 164347, (1210, 5778, 1210)),
+        (60, 9469536, (2865, 21649, 2865)),
+        (100, 7130804911, (8259, 114616, 8259)),
     ])
     def test_cold_accounting_pinned(self, d, value, stats):
         # hits count every stored factor read; no stored key counts 0
@@ -237,6 +243,12 @@ class TestSummandBounds:
         cache = CountCache()
         assert count_restricted(1999, 1998, 1, 2000, cache) == 1
         assert len(cache) == 1998
+
+    def test_two_variable_key_at_d_2000_stays_small(self):
+        # each p = 2 key lists at most two terms, so a long two-variable chain stays small
+        cache = CountCache()
+        assert count_restricted(2, 1999, 40, 2000, cache) > 0
+        assert len(cache) <= 41871
 
 
 class TestEmptinessRule:
