@@ -37,6 +37,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 OEIS_BFILE_URL = "https://oeis.org/A232476/b232476.txt"
+OEIS_TIMEOUT_S = 30.0
 
 # lexseg stores sum(h) terms of --vars exponents each; refuse larger inputs
 # before allocating them
@@ -97,7 +98,7 @@ def parse_b_file(text: str) -> list[tuple[int, int]]:
     return entries
 
 
-def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tuple[int, int]]:
+def fetch_oeis(cache_dir: str | None = None) -> list[tuple[int, int]]:
     """The entries of OEIS A232476, from the on-disk copy when present,
     otherwise fetched over HTTP and cached for later offline runs.
 
@@ -105,7 +106,6 @@ def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tupl
     or empty response raises BFileParseError and leaves no copy behind.  A
     copy on disk that is not UTF-8, does not parse or is empty raises it too.
     Every OSError or BFileParseError names the file or URL at fault."""
-    import urllib.request  # only a download needs it, and it is slow to import
     directory = cache_dir if cache_dir is not None else default_cache_dir()
     cached = os.path.join(directory, "b232476.txt")
     source = cached if os.path.exists(cached) else OEIS_BFILE_URL
@@ -113,7 +113,8 @@ def fetch_oeis(cache_dir: str | None = None, timeout: float = 30.0) -> list[tupl
         if source == cached:
             with open(cached, "rb") as fh:
                 return parse_b_file(fh.read().decode("utf-8"))
-        with urllib.request.urlopen(OEIS_BFILE_URL, timeout=timeout) as response:
+        import urllib.request  # only a download needs it, and it is slow to import
+        with urllib.request.urlopen(OEIS_BFILE_URL, timeout=OEIS_TIMEOUT_S) as response:
             text = response.read().decode("utf-8")
         entries = parse_b_file(text)
         # from here on, a failure is in saving the copy

@@ -230,7 +230,7 @@ def _ensure(key: Key, cache: CountCache) -> None:
     def frame(top: Key) -> tuple:
         summands = _summands(top)
         _, singles, lefts, rights = summands
-        factors = chain(singles, chain.from_iterable(zip(lefts, rights))) if lefts else singles
+        factors = chain(singles, lefts, rights) if lefts else singles
         return top, summands, filterfalse(stored, factors)
 
     stack = [frame(key)]

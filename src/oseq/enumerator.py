@@ -25,11 +25,11 @@ each O-sequence once, in lexicographic order.  Its stack holds, for each
 open stem, the entries still to try, its rest (the mass left for the
 trailing part) and the stem itself.
 
-The subtree under a stem (t, a_t, rest) depends only on those three
-numbers, and few of them are distinct (987 among the 25 674 stems at
-d = 32).  So iter_text, the text of ``oseq enumerate``, walks only the
-stems with rest above BLOCK_REST, and writes every other subtree as one
-block of text, built once per call from its children's blocks.
+The subtree under a stem (t, a_t, rest) depends only on those numbers,
+and once a_t <= t not on t (674 classes among 25 674 stems at d = 32).
+So iter_text, the text of ``oseq enumerate``, walks only the stems with
+rest above BLOCK_REST, and writes every other subtree as one block of
+text, built once per call from its children's blocks.
 """
 from __future__ import annotations
 
@@ -86,13 +86,15 @@ def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
     last entry exceeds 1.  Yields chunks of whole lines.
 
     The lines under a stem (t, v, rest), less the stem's own text, depend
-    only on (t, v, rest).  So the walk is ``iter_stems(d, BLOCK_REST)``: the
-    root and each stem with rest above BLOCK_REST print their own line, and
-    every other stem writes its subtree as one block, memoized by that
-    triple and built from its children's blocks, each child's lines taking
-    their entry in front through one ``str.replace``.  A block's recursion
-    is at most BLOCK_REST // 2 + 1 deep.  The root line comes out before
-    any block is built.  The memo lives only as long as the generator.
+    only on (min(t, v), v, rest): once v <= t every entry below is at most
+    v, and growth_bound(v, u) = v for v <= u.  So the walk is
+    ``iter_stems(d, BLOCK_REST)``: the root and each stem with rest above
+    BLOCK_REST print their own line, and every other stem writes its
+    subtree as one block, memoized by that triple and built (with the real
+    t) from its children's blocks, each child's lines taking their entry
+    in front through one ``str.replace``.  A block's recursion is at most
+    BLOCK_REST // 2 + 1 deep.  The root line comes out before any block is
+    built.  The memo lives only as long as the generator.
     """
     # A block holds one "\n" + suffix per stem of the subtree, in preorder;
     # the suffix is what follows the stem's text on its line, and is the
@@ -100,12 +102,9 @@ def iter_text(d: int, last_gt_1: bool = False) -> Iterator[str]:
     memo: dict[tuple[int, int, int], str] = {}
 
     def block(t: int, v: int, rest: int) -> str:
-        key = (t, v, rest)
+        key = (t if v > t else v, v, rest)
         if key not in memo:
-            if last_gt_1:
-                parts = ["" if rest else "\n"]
-            else:
-                parts = ["\n" + ",1" * rest]
+            parts = ["" if rest else "\n"] if last_gt_1 else ["\n" + ",1" * rest]
             if rest >= 2:
                 for w in _entries(t, v, rest):
                     parts.append(block(t + 1, w, rest - w).replace("\n", f"\n,{w}"))

@@ -283,6 +283,20 @@ def two_variable_count(n: int, k: int, d: int) -> int:
     return bounded_partitions(d - comb(k + 2, 2), n - k, k + 1)
 
 
+def normal(p: int, n: int, k: int, d: int) -> tuple[int, int, int, int]:
+    """A key with the same restricted count as (p, n, k, d), for a nonempty
+    key: only the mass r = d - C(p + k, k) past the forced prefix matters.
+    Each later entry is at least 1, so the socle degree is at most k + r;
+    a_{k+1} <= r, so p may drop to the least p' >= 2 with
+    C(p' + k, k + 1) > r, where the ceilings past the prefix stop binding;
+    d moves with p to keep r."""
+    r = d - comb(p + k, k)
+    low = 2
+    while low < p and comb(low + k, k + 1) <= r:
+        low += 1
+    return low, min(n, k + r), k, comb(low + k, k) + r
+
+
 def stem_walk(d: int):
     """(stem, rest) for every O-sequence stem + (1,) * rest of multiplicity d,
     by a stack of whole stem tuples: each node pushes one tuple per child,

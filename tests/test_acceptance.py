@@ -223,7 +223,7 @@ def test_criterion_9_oeis_b_file(table60, tmp_path):
         record_verdict("[criterion 9] SKIP (network tests off; set OSEQ_NETWORK_TESTS=1)")
         pytest.skip("network tests off; set OSEQ_NETWORK_TESTS=1")
     try:
-        entries = fetch_oeis(cache_dir=str(tmp_path), timeout=10.0)
+        entries = fetch_oeis(cache_dir=str(tmp_path))
     except (urllib.error.URLError, OSError):
         record_verdict("[criterion 9] SKIP (network unavailable)")
         pytest.skip("network unavailable")

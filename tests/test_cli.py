@@ -256,13 +256,15 @@ class TestEnumerate:
             EXIT_OK, joined(stem for stem, rest in stems if not rest and stem[-1] > 1), "")
 
     def test_one_lookup_per_block_state(self, capsys):
-        # a block is built once per (t, a_t, rest), so the growth bound is
-        # looked up once per distinct state, not once per node of mass
-        # <= d - 2 as in iter_stems (15 682 at d = 32)
-        growth_bound.cache_clear()
-        assert invoke(capsys, ["enumerate", "32", "--all"])[0] == EXIT_OK
-        info = growth_bound.cache_info()
-        assert info.hits + info.misses < 1000
+        # a block is built once per (min(t, a_t), a_t, rest), so the growth
+        # bound is looked up once per distinct class, not once per node of
+        # mass <= d - 2 as in iter_stems (15 682 at d = 32), nor once per
+        # (t, a_t, rest) (839 at d = 32, 2 136 at d = 40)
+        for d, lookups in (32, 587), (40, 1696):
+            growth_bound.cache_clear()
+            assert invoke(capsys, ["enumerate", str(d), "--all"])[0] == EXIT_OK
+            info = growth_bound.cache_info()
+            assert info.hits + info.misses == lookups, d
 
     @pytest.mark.parametrize("limit", [0, 1, 2, 26])
     def test_block_limit_boundaries(self, capsys, monkeypatch, limit):
@@ -544,6 +546,14 @@ class TestFetchOeis:
         done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                               capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+    def test_cached_fetch_leaves_urllib_request_out(self, tmp_path):
+        (tmp_path / "b232476.txt").write_text("1 1\n2 1\n")
+        probe = ("import sys; from oseq.cli import fetch_oeis; "
+                 f"print(fetch_oeis(cache_dir={str(tmp_path)!r}), 'urllib.request' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[(1, 1), (2, 1)] False\n", "")
 
     def serve(self, monkeypatch, body):
         monkeypatch.setattr("urllib.request.urlopen",

@@ -83,6 +83,13 @@ class TestGrowthBound:
             for t in range(1, 5):
                 assert growth_bound(a, t) == extension_bound(a, t), (a, t)
 
+    def test_no_growth_at_or_below_the_degree(self):
+        # Macaulay: a value a <= t at degree t can grow to at most a, which
+        # is why iter_text keys a block by min(t, a_t) in place of t
+        for t in range(1, 201):
+            for a in range(1, t + 1):
+                assert growth_bound(a, t) == a, (a, t)
+
     @given(st.integers(1, 200), st.integers(1, 8))
     def test_monotone_in_value(self, a, t):
         assert growth_bound(a, t) <= growth_bound(a + 1, t)
