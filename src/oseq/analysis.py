@@ -223,8 +223,10 @@ def compare_reference(table: CountTable) -> VerificationReport:
     A reference entry marked suspect is still compared verbatim, and the
     mismatch is additionally flagged as a presumed misprint; the computed
     value is authoritative here, bracketed by O_{d-1} <= O_d <= O_{d-1} +
-    O_{d-2}.
+    O_{d-2}.  A table that stops before the first reference entry is
+    refused, as it would pass with no check.
     """
+    _require_range(table, min(REFERENCE_O_VALUES), "table")
     report = VerificationReport(suite="table", lo=1, hi=table.max_d)
     for d, expected in sorted(REFERENCE_O_VALUES.items()):
         if d > table.max_d:

@@ -6,6 +6,7 @@ growth bound is obtained by extension counting over explicit monomial
 sets, never by binomial expansion.
 """
 import re
+from collections import Counter
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
@@ -316,6 +317,32 @@ def stem_walk(d: int):
         top = rest if t == 0 else min(rest, growth_bound(stem[-1], t))
         # pushed largest first, so the smallest next entry is walked first
         stack.extend((stem + (v,), rest - v) for v in range(top, 1, -1))
+
+
+def flat_window(max_d: int) -> tuple[list[int], list[int]]:
+    """(O, A) up to max_d, index 0 unused, by the sliding window with one
+    flat ``Counter`` of states (s, a_{s-1}, a_s) per bucket and one growth
+    bound lookup per state.  The reference for ``enumerator.count_table``,
+    which holds the same states grouped by (s, a_{s-1})."""
+    a = [0] * (max_d + 1)
+    if max_d >= 3:
+        a[3] = 1
+    two_back: Counter = Counter()
+    one_back: Counter = Counter({(1, 1, 2): 1})
+    for d in range(4, max_d + 1):
+        bucket: Counter = Counter()
+        for (s, _, last), n in two_back.items():
+            bucket[(s + 1, last, 2)] += n
+        for (s, prev, last), n in one_back.items():
+            if s == 1 or last < growth_bound(prev, s - 1):
+                bucket[(s, prev, last + 1)] += n
+        a[d] = sum(bucket.values())
+        two_back, one_back = one_back, bucket
+    o = [0] * (max_d + 1)
+    o[1] = 1
+    for d in range(2, max_d + 1):
+        o[d] = o[d - 1] + a[d]
+    return o, a
 
 
 @lru_cache(maxsize=None)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from oseq import analysis
+from oseq import analysis, enumerator
 from oseq.analysis import (
     RATIO_DECREASE_RANGE,
     REFERENCE_O_VALUES,
@@ -19,7 +19,7 @@ from oseq.analysis import (
 )
 from oseq.enumerator import CountTable, count_table
 
-from helpers import fibonacci_upto, reference_bijection_report
+from helpers import fibonacci_upto, flat_window, reference_bijection_report
 
 DATA = Path(__file__).parent / "data"
 
@@ -160,6 +160,15 @@ class TestCrossMethodSuites:
         report = check_window_bijection(max_d=14)
         assert {c.claim for c in report.failures()} == {
             "increment children restore the d-1 extendable set"}
+
+    def test_window_and_bijection_share_the_increment_rule(self, monkeypatch):
+        # one cap off by one, patched where it is defined, moves the
+        # window's A_d and fails the suite's increment check alike
+        entry_cap = enumerator.entry_cap
+        monkeypatch.setattr(enumerator, "entry_cap", lambda s, prev: entry_cap(s, prev) + 1)
+        assert count_table(14).A != flat_window(14)[1]
+        report = check_window_bijection(max_d=14)
+        assert {c.claim for c in report.failures()} == {INCREMENT}
 
     def test_oracle_catches_one_miscounted_cell(self, monkeypatch):
         count_restricted = analysis.count_restricted

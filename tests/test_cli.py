@@ -659,6 +659,9 @@ PINNED_ERRORS = [
     (["formula", "3", "8", "1", "9", "--cache", "{tmp}/twice"], EXIT_IO,
      "oseq formula: cache: {tmp}/twice:3: key (2, 3, 1, 5) already maps to 7, "
      "refusing to store 8\n"),
+    (["verify", "--suite", "table", "--max-d", "20"], EXIT_USAGE,
+     "oseq verify: --suite table: suite table needs a table up to at least d = 21, "
+     "got max_d = 20\n"),
 ]
 
 

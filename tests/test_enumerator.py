@@ -6,7 +6,7 @@ from oseq.analysis import check_count_identities, check_sub_fibonacci
 from oseq.enumerator import can_increment, count_table, iter_stems, iter_text
 from oseq.macaulay import growth_bound, is_o_sequence
 
-from helpers import brute_sequences, stem_walk
+from helpers import brute_sequences, flat_window, stem_walk
 
 # Computed three ways (window construction, recursion, composition filter
 # with an extension-oracle bound); frozen here.
@@ -172,6 +172,18 @@ class TestCountTable:
         assert check_sub_fibonacci(t).passed
         assert t.O[:61] == table60.O
         assert t.A[:61] == table60.A
+
+    def test_matches_flat_window(self):
+        t = count_table(100)
+        assert (t.O, t.A) == flat_window(100)
+
+    def test_one_lookup_per_group(self):
+        # the cap is looked up once per group (s, a_{s-1}) with s >= 2 and
+        # step, not once per state (8 438 over the steps up to d = 42)
+        growth_bound.cache_clear()
+        count_table(42)
+        info = growth_bound.cache_info()
+        assert info.hits + info.misses == 2227
 
     def test_rows(self):
         t = count_table(3)
