@@ -32,8 +32,9 @@ import operator
 import os
 import re
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse, islice, repeat
 from math import comb
 
 from .macaulay import binomial
@@ -59,11 +60,18 @@ class CountCache:
     reads; ``misses`` counts keys that had to be expanded.  A loaded file
     and a warm second run therefore show zero misses.  Every stored count
     is positive.
+
+    ``body`` is the text of the lines ``load_cache`` read, without the last
+    LF, when they are exactly the first keys of ``entries`` in insertion
+    order, or None.  ``save_cache`` copies those lines instead of formatting
+    them again, which holds while stored counts are only added, never
+    changed or removed, as ``_ensure`` does.
     """
 
     entries: dict[Key, int] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
+    body: str | None = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -300,11 +308,29 @@ def save_cache(cache: CountCache, path: str) -> None:
     """Write the cache in the line format ``p,n,k,d,count``, keys ascending.
 
     The header line pins the format version; decimal ASCII, no spaces,
-    LF newlines, so files diff cleanly.
+    LF newlines, so files diff cleanly.  Every save rewrites the whole file,
+    but the lines of a loaded file (``cache.body``) are copied, and only the
+    keys added since are formatted, sorted and merged in by runs: one
+    bisect finds the gap between loaded keys where a run starts, and the
+    new keys below the loaded key that closes the gap go in as one slice.
+    A loaded file whose keys are not ascending is formatted whole.
     """
-    lines = [_HEADER] + [f"{p},{n},{k},{d},{count}"
-                         for (p, n, k, d), count in sorted(cache.entries.items())]
-    write_atomic(path, "\n".join(lines) + "\n", "ascii")
+    entries = cache.entries
+    lines = cache.body.split("\n") if cache.body else []
+    keys = list(islice(entries, len(lines)))
+    if not all(map(operator.lt, keys, islice(keys, 1, None))):
+        keys = lines = []
+    new = sorted(islice(entries.items(), len(keys), None))
+    fresh = [f"{p},{n},{k},{d},{count}" for (p, n, k, d), count in new]
+    out, at, i = [_HEADER], 0, 0
+    while i < len(new):
+        gap = bisect_left(keys, new[i][0], at)
+        j = bisect_left(new, (keys[gap],), i) if gap < len(keys) else len(new)
+        out += lines[at:gap]
+        out += fresh[i:j]
+        at, i = gap, j
+    out += lines[at:]
+    write_atomic(path, "\n".join(out) + "\n", "ascii")
 
 
 def load_cache(path: str) -> CountCache:
@@ -318,6 +344,8 @@ def load_cache(path: str) -> CountCache:
     line at fault, so a file cut inside its last line is refused; a cut on a
     line boundary is not detected.  A key in range that _resolve never
     returns loads unread, and a count of 0 (from earlier versions) is skipped.
+    The lines read are kept as the cache's ``body`` for ``save_cache`` to
+    copy, unless there are none or a count of 0 was skipped.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -334,8 +362,9 @@ def load_cache(path: str) -> CountCache:
     # the lines before offset stop parse; fault is the error for the line there
     stop = (_CANONICAL_BODY.fullmatch(text, start) or _CANONICAL_BODY.match(text, start)).end()
     fault = stop < len(text) and _refusal(path, text, stop)
+    body = text[start:stop - 1]
     try:
-        values = json.loads("[" + text[start:stop - 1].replace("\n", ",") + "]")
+        values = json.loads("[" + body.replace("\n", ",") + "]")
     except ValueError as exc:
         # a leading zero ("[" shifts positions by one) or more digits than int()
         # takes; json parses in order, so the lines before the field parse
@@ -360,9 +389,9 @@ def load_cache(path: str) -> CountCache:
             entries[key] = count
     if fault:
         raise fault
-    if 0 in counts:
-        entries = {key: count for key, count in entries.items() if count}
-    return CountCache(entries)
+    if 0 in counts:  # the lines no longer match the keys, so no body is kept
+        return CountCache({key: count for key, count in entries.items() if count})
+    return CountCache(entries, body=body or None)
 
 
 def _refusal(path: str, text: str, at: int, reason: str = "") -> CacheFormatError:

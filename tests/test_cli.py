@@ -25,6 +25,7 @@ from oseq.cli import (
     parse_b_file,
     run,
 )
+from oseq.counting import CountCache, count_restricted, save_cache
 from oseq.macaulay import growth_bound
 
 from helpers import brute_sequences, cellwise_exhaustive_count, stem_walk
@@ -159,6 +160,19 @@ class TestFormula:
         after = cache.stat()
         assert cache.read_bytes() == before
         assert (after.st_ino, after.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+
+    def test_file_grown_by_calls_equals_one_fresh_save(self, capsys, tmp_path):
+        # each call after the first copies the lines it loaded and merges in
+        # the keys it added; the file must be the one a single cache writes
+        queries = [(4, 8, 1, 10), (5, 29, 2, 30), (3, 20, 1, 24), (2, 11, 2, 14), (6, 14, 0, 15)]
+        grown = tmp_path / "grown.txt"
+        fresh = CountCache()
+        for query in queries:
+            assert invoke(capsys, ["formula", *map(str, query), "--cache", str(grown)])[0] == EXIT_OK
+            count_restricted(*query, fresh)
+        once = tmp_path / "once.txt"
+        save_cache(fresh, str(once))
+        assert grown.read_bytes() == once.read_bytes()
 
     def test_failed_save_keeps_old_cache(self, capsys, tmp_path, monkeypatch):
         cache = tmp_path / "memo.txt"

@@ -452,16 +452,19 @@ class TestCachePersistence:
         assert (len(lines), len(nonzero)) == (69, 36)
         warm = load_cache(str(old))
         assert len(warm) == 36 and all(warm.entries.values())
+        assert warm.body is None  # the lines left no longer match the keys
         for query in [(3, 8, 1, 9), (5, 20, 2, 25)]:
             assert count_restricted(*query, warm) == count_restricted(*query), query
         assert warm.misses == 0
         for query in [(4, 9, 1, 12), (3, 6, 0, 9), (2, 1, 1, 4)]:
             assert count_restricted(*query, warm) == count_restricted(*query), query
         path = tmp_path / "memo.cache"
+        assert len(warm) > 36
         save_cache(warm, str(path))
         saved = path.read_text().splitlines()
         assert set(nonzero) <= set(saved[1:])
         assert not any(line.endswith(",0") for line in saved)
+        assert path.read_bytes() == saved_text(warm)
 
     def test_warm_cache_needs_no_expansion(self, tmp_path):
         cache = CountCache()
@@ -498,6 +501,67 @@ class TestCachePersistence:
         path.write_bytes(text.encode())
         with pytest.raises(CacheFormatError, match=re.escape(f"{path}:") + error):
             load_cache(str(path))
+
+
+def saved_text(cache: CountCache) -> bytes:
+    """The file a save of ``cache`` writes: the header, then every key's
+    line formatted afresh, keys ascending."""
+    return (HEADER + "".join(f"{p},{n},{k},{d},{count}\n"
+                             for (p, n, k, d), count in sorted(cache.entries.items()))).encode()
+
+
+# keys in the range load_cache accepts, and queries of any kind
+STORED_KEYS = st.tuples(st.integers(2, 6), st.integers(0, 14), st.integers(0, 14),
+                        st.integers(1, 15)).filter(lambda key: key[2] <= key[1] < key[3])
+QUERIES = st.tuples(st.integers(1, 6), st.integers(0, 16), st.integers(0, 4), st.integers(1, 18))
+
+
+class TestSaveAfterLoad:
+    """A save after a load copies the lines it read and formats only the
+    keys added since, and writes the same file as a save that formats every
+    key."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(STORED_KEYS, st.integers(1, 10 ** 30), max_size=20),
+           st.lists(QUERIES, max_size=6))
+    def test_save_after_load_equals_sorted_lines(self, tmp_path_factory, entries, queries):
+        path = tmp_path_factory.mktemp("memo") / "memo.cache"
+        save_cache(CountCache(entries), str(path))
+        loaded = load_cache(str(path))
+        for query in queries:
+            count_restricted(*query, loaded)
+        save_cache(loaded, str(path))
+        assert path.read_bytes() == saved_text(loaded)
+        assert_matches_line_loop(path)
+
+    def test_load_keeps_the_lines_read(self, tmp_path):
+        path = tmp_path / "memo.cache"
+        save_cache(memo_start_cache(), str(path))
+        assert load_cache(str(path)).body == path.read_text()[len(HEADER):-1]
+        assert CountCache().body is None
+
+    def test_descending_file_is_saved_sorted(self, tmp_path):
+        path = tmp_path / "memo.cache"
+        save_cache(memo_start_cache(), str(path))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(reversed(lines)))
+        loaded = load_cache(str(path))
+        assert list(loaded.entries) == sorted(loaded.entries, reverse=True)
+        before = len(loaded)
+        count_restricted(5, 20, 2, 25, loaded)
+        assert len(loaded) > before
+        save_cache(loaded, str(path))
+        assert path.read_bytes() == saved_text(loaded)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "memo.cache"
+        path.write_text(HEADER)
+        loaded = load_cache(str(path))
+        assert (len(loaded), loaded.body) == (0, None)
+        count_restricted(4, 8, 1, 10, loaded)
+        save_cache(loaded, str(path))
+        assert path.read_bytes() == saved_text(loaded)
+        assert_matches_line_loop(path)
 
 
 def assert_matches_line_loop(path) -> None:
