@@ -120,7 +120,7 @@ def fetch_oeis(cache_dir: str | None = None) -> list[tuple[int, int]]:
         # from here on, a failure is in saving the copy
         source = cached
         os.makedirs(directory, exist_ok=True)
-        write_atomic(cached, text, "utf-8")
+        write_atomic(cached, text)
     except UnicodeDecodeError as exc:
         raise BFileParseError(f"{source}: not UTF-8 text: {exc}") from None
     except BFileParseError as exc:

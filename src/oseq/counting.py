@@ -32,7 +32,6 @@ import operator
 import os
 import re
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, islice, repeat
 from math import comb
@@ -285,14 +284,14 @@ def count_via_formula(d: int, cache: CountCache | None = None) -> int:
     return count_restricted(d, d - 1, 0, d, cache)
 
 
-def write_atomic(path: str, text: str, encoding: str) -> None:
-    """Replace ``path`` by ``text`` through a temporary file in the same
-    directory, so a failed write leaves the old file and no temporary one.
-    A temporary that cannot be created is reported under ``path``, so the
-    message does not change from run to run."""
+def write_atomic(path: str, text: str) -> None:
+    """Replace ``path`` by ``text``, UTF-8 encoded, through a temporary file
+    in the same directory, so a failed write leaves the old file and no
+    temporary one.  A temporary that cannot be created is reported under
+    ``path``, so the message does not change from run to run."""
     tmp = f"{path}.{os.urandom(4).hex()}.tmp"
     try:
-        fh = open(tmp, "x", encoding=encoding, newline="")
+        fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
@@ -310,27 +309,16 @@ def save_cache(cache: CountCache, path: str) -> None:
     The header line pins the format version; decimal ASCII, no spaces,
     LF newlines, so files diff cleanly.  Every save rewrites the whole file,
     but the lines of a loaded file (``cache.body``) are copied, and only the
-    keys added since are formatted, sorted and merged in by runs: one
-    bisect finds the gap between loaded keys where a run starts, and the
-    new keys below the loaded key that closes the gap go in as one slice.
-    A loaded file whose keys are not ascending is formatted whole.
+    keys added since are formatted.  One sort by key orders all the lines:
+    a loaded file's ascending lines are one run, which the new keys are
+    merged into, and a file in any other order is sorted all the same.
     """
-    entries = cache.entries
     lines = cache.body.split("\n") if cache.body else []
-    keys = list(islice(entries, len(lines)))
-    if not all(map(operator.lt, keys, islice(keys, 1, None))):
-        keys = lines = []
-    new = sorted(islice(entries.items(), len(keys), None))
-    fresh = [f"{p},{n},{k},{d},{count}" for (p, n, k, d), count in new]
-    out, at, i = [_HEADER], 0, 0
-    while i < len(new):
-        gap = bisect_left(keys, new[i][0], at)
-        j = bisect_left(new, (keys[gap],), i) if gap < len(keys) else len(new)
-        out += lines[at:gap]
-        out += fresh[i:j]
-        at, i = gap, j
-    out += lines[at:]
-    write_atomic(path, "\n".join(out) + "\n", "ascii")
+    keys = list(cache.entries)
+    texts = lines + [f"{p},{n},{k},{d},{count}"
+                     for (p, n, k, d), count in islice(cache.entries.items(), len(lines), None)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    write_atomic(path, "\n".join([_HEADER, *map(texts.__getitem__, order)]) + "\n")
 
 
 def load_cache(path: str) -> CountCache:

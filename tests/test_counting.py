@@ -523,10 +523,12 @@ class TestSaveAfterLoad:
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(STORED_KEYS, st.integers(1, 10 ** 30), max_size=20),
-           st.lists(QUERIES, max_size=6))
-    def test_save_after_load_equals_sorted_lines(self, tmp_path_factory, entries, queries):
+           st.lists(QUERIES, max_size=6), st.data())
+    def test_save_after_load_equals_sorted_lines(self, tmp_path_factory, entries, queries, data):
         path = tmp_path_factory.mktemp("memo") / "memo.cache"
         save_cache(CountCache(entries), str(path))
+        header, *lines = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(data.draw(st.permutations(lines))))
         loaded = load_cache(str(path))
         for query in queries:
             count_restricted(*query, loaded)
@@ -552,6 +554,18 @@ class TestSaveAfterLoad:
         assert len(loaded) > before
         save_cache(loaded, str(path))
         assert path.read_bytes() == saved_text(loaded)
+
+    @pytest.mark.parametrize("body", ["2,1,0,2,1\n3,4,1,6,99", "3,4,1,6,99\n2,1,0,2,1"],
+                             ids=["ascending", "descending"])
+    def test_loaded_lines_are_copied_as_text(self, tmp_path, body):
+        # every loaded key counts 1, so only a copy of the loaded text
+        # writes the line 3,4,1,6,99
+        cache = CountCache({tuple(map(int, line.split(",")[:4])): 1
+                            for line in body.split("\n")}, body=body)
+        cache.entries.update({(5, 0, 0, 9): 4, (2, 5, 0, 6): 3})
+        path = tmp_path / "memo.cache"
+        save_cache(cache, str(path))
+        assert path.read_text() == HEADER + "2,1,0,2,1\n2,5,0,6,3\n3,4,1,6,99\n5,0,0,9,4\n"
 
     def test_header_only_file(self, tmp_path):
         path = tmp_path / "memo.cache"
