@@ -349,31 +349,40 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand or, given a key of ``_COMMANDS``, of
-    that one alone, with the same usage, help and error text for it."""
+def _add_command(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, add_arguments, handler = _COMMANDS[name]
+    add_arguments(p)
+    if name != "enumerate":  # which prints one CSV line per sequence
+        p.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    p.set_defaults(handler=handler, command=name)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand.  Each one is the parser ``run`` builds
+    alone for that command, with the same usage, help and error text."""
     parser = argparse.ArgumentParser(
         prog="oseq",
         description="Enumerate, count and verify finite O-sequences by multiplicity.",
     )
-    # the usage line of an "unrecognized arguments" error names every command
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in _COMMANDS if command is None else [command]:
-        help_text, add_arguments, handler = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        add_arguments(p)
-        if name != "enumerate":  # which prints one CSV line per sequence
-            p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-        p.set_defaults(handler=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the full tree serves only no arguments, --help and an unknown command
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    # a known command parses with its own parser alone; the full tree serves
+    # no arguments, --help, an unknown command and the usage line of an
+    # unrecognized argument
+    if argv and argv[0] in _COMMANDS:
+        parser = _add_command(argparse.ArgumentParser(prog=f"oseq {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if extra:
+            build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
+    else:
+        args = build_parser().parse_args(argv)
     if sys.stdout is None:  # started with stdout closed: nothing can be written
         print(f"oseq {args.command}: stdout is closed", file=sys.stderr)
         return EXIT_IO

@@ -805,11 +805,15 @@ class TestArgparseSurface:
                        "[--format {text,json,csv}]"),
     ], ids=COMMANDS)
     def test_subcommand_help(self, capsys, monkeypatch, command, usage):
-        monkeypatch.setenv("COLUMNS", "200")  # one usage line
-        got = outcome(capsys, run, [command, "--help"])
-        assert got == outcome(capsys, build_parser().parse_args, [command, "--help"])
-        assert got[0] == EXIT_OK and got[2] == ""
-        assert got[1].startswith(f"usage: oseq {command} [-h] {usage}\n")
+        for columns in ["40", "80", "200"]:
+            monkeypatch.setenv("COLUMNS", columns)
+            # help after an unrecognized argument too
+            for argv in [[command, "--help"], [command, "--bogus", "-h"]]:
+                got = outcome(capsys, run, argv)
+                assert got == outcome(capsys, build_parser().parse_args, argv)
+                assert got[0] == EXIT_OK and got[2] == ""
+                if columns == "200":  # one usage line
+                    assert got[1].startswith(f"usage: oseq {command} [-h] {usage}\n")
 
     @pytest.mark.parametrize("argv, first, last", [
         ([], TOP_USAGE, "oseq: error: the following arguments are required: command\n"),
@@ -823,11 +827,34 @@ class TestArgparseSurface:
          "oseq enumerate: error: argument --last-gt-1: not allowed with argument --all\n"),
         (["formula", "1"], "usage: oseq formula [-h]",
          "oseq formula: error: the following arguments are required: n, k, d\n"),
+        (["table", "--max-d", "x", "-h"], "usage: oseq table [-h] --max-d D",
+         "oseq table: error: argument --max-d: invalid int value: 'x'\n"),
         # reported by the top-level parser, whose usage line names every command
         (["table", "--max-d", "3", "--bogus"], TOP_USAGE,
          "oseq: error: unrecognized arguments: --bogus\n"),
+        (["count", "5", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
+        (["formula", "1", "2", "3", "4", "5"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: 5\n"),
+        (["enumerate", "5", "--format", "json"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --format json\n"),
+        (["verify", "--suite", "lemmas", "--bogus", "x"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus x\n"),
+        (["lexseg", "1,2", "--vars", "2", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
+        (["oeis-check", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
+        (["table", "--max", "3", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
+        (["enumerate", "--all", "5", "6"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: 6\n"),
+        (["count", "--", "5", "--bogus"], TOP_USAGE,
+         "oseq: error: unrecognized arguments: --bogus\n"),
     ], ids=["bare", "unknown", "table-missing", "verify-choice", "enumerate-exclusive",
-            "formula-missing", "table-unrecognized"])
+            "formula-missing", "table-help-after-invalid", "table-unrecognized",
+            "count-unrecognized", "formula-extra-positional", "enumerate-no-format",
+            "verify-unrecognized", "lexseg-unrecognized", "oeis-check-unrecognized",
+            "table-abbreviated", "enumerate-option-first", "count-double-dash"])
     def test_usage_errors(self, capsys, argv, first, last):
         got = outcome(capsys, run, argv)
         assert got == outcome(capsys, build_parser().parse_args, argv)
@@ -850,12 +877,33 @@ class TestArgparseSurface:
 
     def test_one_subparser_per_command(self, capsys, parsers_built, monkeypatch):
         assert invoke(capsys, ["table", "--max-d", "3"])[0] == EXIT_OK
-        assert len(parsers_built) == 2
+        assert len(parsers_built) == 1
         monkeypatch.setattr(sys, "argv", ["oseq", "count", "5"])
         assert invoke(capsys, None)[0] == EXIT_OK
-        assert len(parsers_built) == 4
+        assert len(parsers_built) == 2
+        # an unrecognized argument builds the full tree for its usage line
+        outcome(capsys, run, ["table", "--max-d", "3", "--bogus"])
+        assert len(parsers_built) == 2 + 1 + 1 + len(COMMANDS)
 
-    @pytest.mark.parametrize("argv", [["--help"], ["nosuch"]], ids=["help", "unknown"])
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["nosuch"]],
+                             ids=["bare", "help", "unknown"])
     def test_full_tree_otherwise(self, capsys, parsers_built, argv):
         outcome(capsys, run, argv)
         assert len(parsers_built) == 1 + len(COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--max", "3"],
+        ["count", "--", "5"],
+        ["formula", "3", "8", "1", "9", "--cache", "memo.txt", "--stats", "--format", "csv"],
+        ["enumerate", "--all", "5"],
+        ["verify", "--suite", "oracle", "--max-d", "6", "--format", "json"],
+        ["lexseg", "1,2,1", "--vars", "2", "--decompose"],
+        ["oeis-check", "--allow-network", "--cache-dir", "dir"],
+    ], ids=COMMANDS)
+    def test_namespace_equals_the_full_tree(self, monkeypatch, argv):
+        seen = []
+        help_text, add_arguments, _ = cli._COMMANDS[argv[0]]
+        monkeypatch.setitem(cli._COMMANDS, argv[0],
+                            (help_text, add_arguments, lambda args: seen.append(args) or 0))
+        assert run(argv) == EXIT_OK
+        assert vars(seen[0]) == vars(build_parser().parse_args(argv))
