@@ -11,7 +11,6 @@ last, otherwise that splitting property fails.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import islice
@@ -133,18 +132,17 @@ def exhaustive_count(p: int, n: int, k: int, d: int) -> int:
     """Count by direct enumeration the O-sequences of multiplicity d from
     lex segments in p variables, socle degree <= n, prefix length exactly k.
 
-    Independent of the recursive formula: a lookup into the tally that
-    ``_classes`` makes once per (p, d).  Bounded to small parameters on purpose.
+    Independent of the recursive formula: a lookup into the grid that
+    ``_cells`` makes once per (p, d).  Bounded to small parameters on purpose.
     """
     if p > 4 or n > 8 or d > 12:
         raise ParameterTooLargeError(
             f"exhaustive_count is limited to p <= 4, n <= 8, d <= 12; "
             f"got p={p}, n={n}, d={d}"
         )
-    if d < 1 or p < 1 or n < 0 or k < 0:
+    if d < 1 or p < 1 or n < 0 or not 0 <= k <= 8:
         return 0
-    return sum(count for (socle, prefix), count in _classes(p, d).items()
-               if socle <= n and prefix == k)
+    return _cells(p, d)[n][k]
 
 
 def _compositions(total: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -166,17 +164,20 @@ def _admissible(d: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _classes(p: int, d: int) -> Counter[tuple[int, int]]:
-    """(socle degree, maximal-growth prefix length) -> how many members of
-    ``_admissible(d)`` fit under ceiling[t] = C(p - 1 + t, t), the number of
-    degree-t terms; the prefix is the run of entries equal to the ceiling."""
+def _cells(p: int, d: int) -> tuple[tuple[int, ...], ...]:
+    """cells[n][k] for n, k <= 8: how many members of ``_admissible(d)`` with
+    socle degree <= n and maximal-growth prefix length exactly k fit under
+    ceiling[t] = C(p - 1 + t, t), the number of degree-t terms; the prefix
+    is the run of entries equal to the ceiling."""
     ceiling = [binomial(p - 1 + t, t, cap=d) for t in range(9)]
-    tally: Counter[tuple[int, int]] = Counter()
+    cells = [[0] * 9 for _ in range(9)]
     for seq in _admissible(d):
         if any(v > c for v, c in zip(seq, ceiling)):
             continue
         k = 0
         while k + 1 < len(seq) and seq[k + 1] == ceiling[k + 1]:
             k += 1
-        tally[len(seq) - 1, k] += 1
-    return tally
+        cells[len(seq) - 1][k] += 1
+    for n in range(1, 9):
+        cells[n] = [below + here for below, here in zip(cells[n - 1], cells[n])]
+    return tuple(map(tuple, cells))

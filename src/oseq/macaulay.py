@@ -19,13 +19,19 @@ def binomial(n: int, m: int, cap: int | None = None) -> int:
 
     When ``cap`` is given the result saturates: any value exceeding ``cap``
     is reported as ``cap + 1``.  Callers that only compare against a bound
-    use this to sidestep huge intermediate coefficients.
+    use this to sidestep huge intermediate coefficients.  When
+    ``m * n.bit_length() <= 64`` for the smaller of m and n - m, C(n, m) <
+    n^m < 2^64 fits in a machine word and one ``comb`` call is saturated;
+    otherwise a loop stops as soon as a partial product exceeds ``cap``.
     """
     if m < 0 or n < m:
         return 0
     if cap is None:
         return comb(n, m)
     m = min(m, n - m)
+    if m * n.bit_length() <= 64:
+        result = comb(n, m)
+        return result if result <= cap else cap + 1
     result = 1
     for i in range(1, m + 1):
         # partial products are nondecreasing for m <= n/2, so we may bail early

@@ -207,8 +207,8 @@ def cellwise_exhaustive_count(p: int, n: int, k: int, d: int) -> int:
     """``lexseg.exhaustive_count`` by a filter of its own for every cell:
     the O-sequences among the compositions of d with socle degree <= n,
     each checked against the term counts in p variables and its prefix
-    length compared with k.  The reference for the tally that
-    ``lexseg._classes`` makes once per (p, d)."""
+    length compared with k.  The reference for the cumulative grid that
+    ``lexseg._cells`` makes once per (p, d)."""
     if d < 1 or p < 1 or n < 0 or k < 0:
         return 0
     return sum(_cellwise_prefix(seq, p, d) == k for seq in _cellwise_candidates(n, d))

@@ -2,10 +2,13 @@ from itertools import islice
 
 import pytest
 
+from oseq.analysis import check_oracle_grid
 from oseq.counting import count_restricted
 from oseq.lexseg import (
     OrderIdeal,
     ParameterTooLargeError,
+    _admissible,
+    _cells,
     decompose,
     exhaustive_count,
     sous_escalier,
@@ -195,12 +198,23 @@ class TestExhaustiveCount:
 
     @pytest.mark.parametrize("d", range(-1, 13))
     def test_matches_cellwise_filter(self, d):
-        # the whole allowed grid, with p, n and k below their domains too
+        # the whole allowed grid, with p, n and k below their domains too,
+        # and k past the grid's last column, where no prefix fits
         for p in range(-1, 5):
             for n in range(-1, 9):
-                for k in range(-1, 9):
+                for k in [*range(-1, 10), 12]:
                     assert exhaustive_count(p, n, k, d) == cellwise_exhaustive_count(
                         p, n, k, d), (p, n, k, d)
+                for k in (9, 12):
+                    assert exhaustive_count(p, n, k, d) == 0, (p, n, k, d)
+
+    def test_one_classification_per_p_d(self):
+        _admissible.cache_clear()
+        _cells.cache_clear()
+        assert check_oracle_grid(10).passed
+        info = _cells.cache_info()
+        # 4 values of p times 10 of d, each with 45 (n, k) cells
+        assert (info.misses, info.hits) == (40, 1760)
 
     def test_guard(self):
         with pytest.raises(ParameterTooLargeError):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oseq import macaulay
 from oseq.macaulay import binomial, expand, growth_bound, is_o_sequence
 
 from helpers import (
@@ -29,7 +30,8 @@ class TestBinomial:
         assert binomial(5, 2, cap=100) == 10
         assert binomial(3, 5, cap=4) == 0
 
-    @given(st.integers(0, 60), st.integers(0, 60), st.integers(0, 5000))
+    # n <= 200 reaches both sides of the one-comb rule m * n.bit_length() <= 64
+    @given(st.integers(0, 200), st.integers(0, 200), st.integers(0, 5000))
     def test_saturated_agrees_with_exact_below_cap(self, n, m, cap):
         got = binomial(n, m, cap=cap)
         exact = comb(n, m) if 0 <= m <= n else 0
@@ -37,6 +39,13 @@ class TestBinomial:
             assert got == exact
         else:
             assert got == cap + 1
+
+    def test_saturated_huge_arguments_never_form_the_coefficient(self, monkeypatch):
+        def refuse(n, m):
+            raise AssertionError(f"comb({n}, {m}) formed")
+
+        monkeypatch.setattr(macaulay, "comb", refuse)
+        assert binomial(10**6, 5 * 10**5, cap=10) == 11
 
 
 class TestExpand:
